@@ -46,6 +46,9 @@ HEARTBEAT_INTERVAL_S = _env_float("REPRO_HEARTBEAT_INTERVAL_S", 0.5)
 WORKER_STALL_S = _env_float("REPRO_WORKER_STALL_S", 5.0)
 #: Bound on the in-flight heartbeat queue; overflowing beats are shed.
 _HEARTBEAT_QUEUE_SIZE = 1024
+#: Put on the beat queue by :meth:`HeartbeatMonitor.stop` to wake the
+#: monitor thread at once; beats are dicts, so it never collides.
+_STOP = None
 
 
 #: Worker-local progress state read by the beat thread.  Plain dict
@@ -176,6 +179,8 @@ class HeartbeatMonitor:
             except (OSError, EOFError, ValueError):
                 return  # queue torn down underneath us: monitoring over
             else:
+                if beat is _STOP:
+                    return
                 self.observe_beat(beat)
             self.check_stalls()
 
@@ -188,8 +193,16 @@ class HeartbeatMonitor:
         return self
 
     def stop(self) -> None:
-        self._stop.set()
+        # The socket transport's queue-less monitor never starts a
+        # thread, so it never reaches the queue here.
         if self._thread is not None:
+            try:
+                # Wake the thread now rather than at its next poll; the
+                # beats queued ahead of the sentinel are still observed.
+                self.queue.put_nowait(_STOP)
+            except Exception:
+                # Full or torn-down queue: end at the next poll instead.
+                self._stop.set()
             self._thread.join(timeout=5.0)
             self._thread = None
         try:

@@ -74,9 +74,16 @@ class Counters:
     #: Event counts used by the overhead model, independent of costs.
     events: dict = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        # The cost model is frozen and every cost is linear in its
+        # units: look the unit costs up once, not once per operation.
+        self._unit_cost = {
+            category: self.cost_model.cost(category)
+            for category in NATIVE_CATEGORIES + OVERHEAD_CATEGORIES}
+
     def charge(self, category: str, units: int = 1) -> None:
         """Charge the instruction cost of one operation."""
-        cost = self.cost_model.cost(category, units)
+        cost = self._unit_cost[category] * units
         self.instructions[category] = self.instructions.get(category, 0) + cost
 
     def note(self, event: str, n: int = 1) -> None:

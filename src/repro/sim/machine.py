@@ -336,7 +336,7 @@ class Machine:
         return [entry[2] for entry in drained]
 
     def drain_all(self) -> list:
-        """Retire every buffered store (checkpoints, frees, phase ends)."""
+        """Retire every buffered store (before a checkpoint's read)."""
         if self.memory_model is None:
             return []
         drained = self.memory_model.drain_all()

@@ -104,7 +104,8 @@ class Memory:
         """Write one word (validates type via value_bits)."""
         if not self.is_mapped(address):
             raise MemoryError_(f"store to unmapped address {address:#x}")
-        value_bits(value)  # type check: int or float only
+        if not isinstance(value, (int, float)):
+            value_bits(value)  # raises: words are int or float only
         self._cells[address] = value
 
     # -- whole-state views -------------------------------------------------------

@@ -194,8 +194,7 @@ class _Status(enum.Enum):
 
 
 class _Thread:
-    __slots__ = ("tid", "gen", "pending", "status", "deliver", "resume_value",
-                 "waiting_on")
+    __slots__ = ("tid", "gen", "pending", "status", "deliver", "waiting_on")
 
     def __init__(self, tid: int, gen):
         self.tid = tid
@@ -203,7 +202,6 @@ class _Thread:
         self.pending: Op | None = None
         self.status = _Status.READY
         self.deliver = False
-        self.resume_value = None
         self.waiting_on = None
 
 
@@ -249,6 +247,8 @@ class Runner:
         #: registry accumulates per-scheme hash-update counts, Figure 6
         #: instruction categories, and scheduler decisions.
         self.telemetry = telemetry
+        self._handlers = {name[len("_op_"):]: getattr(self, name)
+                          for name in dir(self) if name.startswith("_op_")}
 
         # Per-run state, rebuilt by run(); exposed for inspection in tests.
         self.memory: Memory | None = None
@@ -304,10 +304,6 @@ class Runner:
         self.allocator = Allocator(self.memory)
         if self.machine_hook is not None:
             self.machine_hook(self.machine)
-        #: Addresses a fence just retired from the issuing thread's store
-        #: buffer; an observing scheduler folds them into the fence's
-        #: footprint (they are writes that happen *at* the fence).
-        self.fence_drained: tuple = ()
         if hasattr(self.scheduler, "bind_runner"):
             # Systematic schedulers inspect pending ops and drain queues
             # to compute dependence footprints and sleep sets.
@@ -373,37 +369,30 @@ class Runner:
         for thread in threads.values():
             self._advance(thread, None)  # prime to the first op
         self._threads = threads
-        buffering = self.machine.memory_model is not None
+        machine = self.machine
         observing = getattr(self.scheduler, "wants_observations", False)
+        is_switch_point = self.scheduler.is_switch_point
+        # Without migration, re-placing the thread that ran last is a
+        # no-op (same tid, same core), so only a switch calls the machine.
+        migrating = machine.migrate_prob > 0.0
         current: int | None = None
+        thread: _Thread | None = None
         at_switch = True
         while True:
-            runnable = sorted(
-                t.tid for t in threads.values() if self._runnable(t))
-            if not runnable:
-                pending_drains = buffering and self.machine.drain_choices()
-                if all(t.status is _Status.DONE for t in threads.values()):
-                    if not pending_drains:
-                        break
-                    # Leftover buffered stores still retire one at a time
-                    # through the scheduler, so drain orderings at the
-                    # phase tail stay visible to systematic exploration.
-                elif not pending_drains:
-                    states = {t.tid: (t.status.value, t.waiting_on) for t in
-                              threads.values() if t.status is not _Status.DONE}
-                    raise DeadlockError(f"deadlock; blocked threads: {states}")
-            if buffering:
-                # Drain pseudo-tids are negative, so splicing them in
-                # front keeps the runnable list sorted.
-                runnable = self.machine.drain_choices() + runnable
-            tid = self.scheduler.pick(runnable, current, at_switch)
-            if tid not in runnable:
-                raise SchedulerError(f"scheduler picked non-runnable tid {tid}")
+            # Mid-block every scheduler keeps the current thread (see
+            # Scheduler.pick), so only a switch point or a blocked
+            # thread needs the full decision.
+            if at_switch or not self._runnable(thread):
+                tid = self._pick(threads, current, at_switch)
+                if tid is None:
+                    break
+            else:
+                tid = current
             self._sched_picks += 1
             if tid < 0:
                 # A store-buffer drain: one buffered store retires.  The
                 # current thread (if any) stays at its switch point.
-                owner, address = self.machine.execute_drain(tid)
+                owner, address = machine.execute_drain(tid)
                 if observing:
                     self.scheduler.observe_step(tid, Op("drain",
                                                         (owner, address)))
@@ -411,13 +400,13 @@ class Runner:
             else:
                 if current is not None and tid != current:
                     self._sched_switches += 1
+                if tid != current or migrating:
+                    machine.schedule_thread(tid)
                 thread = threads[tid]
-                self.machine.schedule_thread(tid)
                 op = self._step(thread)
                 if observing:
                     self.scheduler.observe_step(tid, op)
-                at_switch = self.scheduler.is_switch_point(
-                    op.kind if op is not None else None)
+                at_switch = is_switch_point(op.kind if op is not None else None)
                 current = tid
             self.step_count += 1
             if self.step_count > self.max_steps:
@@ -429,11 +418,28 @@ class Runner:
                 raise BudgetError(
                     f"run exceeded its wall-clock deadline after "
                     f"{self.step_count} steps")
-        if buffering:
-            # Phase boundary (thread exit / join): what remains buffered
-            # retires in canonical FIFO order before the next phase —
-            # or the end checkpoint — can observe memory.
-            self.machine.drain_all()
+
+    def _pick(self, threads: dict, current: int | None,
+              at_switch: bool) -> int | None:
+        """Let the scheduler pick among the runnable threads and drains;
+        None once neither is left, so drains at the phase tail retire
+        through the scheduler too, visible to systematic exploration."""
+        runnable = sorted(
+            t.tid for t in threads.values() if self._runnable(t))
+        if self.machine.memory_model is not None:
+            # Drain pseudo-tids are negative, so splicing them in
+            # front keeps the runnable list sorted.
+            runnable = self.machine.drain_choices() + runnable
+        if not runnable:
+            if all(t.status is _Status.DONE for t in threads.values()):
+                return None
+            states = {t.tid: (t.status.value, t.waiting_on) for t in
+                      threads.values() if t.status is not _Status.DONE}
+            raise DeadlockError(f"deadlock; blocked threads: {states}")
+        tid = self.scheduler.pick(runnable, current, at_switch)
+        if tid not in runnable:
+            raise SchedulerError(f"scheduler picked non-runnable tid {tid}")
+        return tid
 
     def _runnable(self, thread: _Thread) -> bool:
         if thread.status is not _Status.READY:
@@ -461,13 +467,20 @@ class Runner:
         """Advance one thread by one scheduling step; returns the op it
         executed (None for a wakeup-delivery step)."""
         if thread.deliver:
-            value, thread.deliver, thread.resume_value = (
-                thread.resume_value, False, None)
-            self._advance(thread, value)
+            thread.deliver = False
+            self._advance(thread, None)
             return None
         op = thread.pending
         thread.pending = None
-        result = self._exec(thread, op)
+        kind = op.kind
+        # No store-buffer work here: ``_runnable`` stalls fences, frees
+        # and checkpoints until the buffers they wait on are empty.
+        if self.tracer is not None:
+            self.tracer.on_op(thread.tid, kind, op.args)
+        handler = self._handlers.get(kind)
+        if handler is None:
+            raise ProgramError(f"unknown op kind {kind!r}")
+        result = handler(thread, op.args)
         if thread.status is _Status.READY and not thread.deliver:
             self._advance(thread, result)
         return op
@@ -479,121 +492,60 @@ class Runner:
             thread.pending = None
             thread.status = _Status.DONE
 
-    def _wake(self, tid: int, value=None) -> None:
+    def _wake(self, tid: int) -> None:
         thread = self._threads[tid]
         thread.status = _Status.READY
         thread.deliver = True
-        thread.resume_value = value
         thread.waiting_on = None
 
     # -- op execution -------------------------------------------------------------------
 
-    def _exec(self, thread: _Thread, op: Op):
-        kind = op.kind
-        args = op.args
-        tid = thread.tid
-        if self.machine.memory_model is not None:
-            # ``_runnable`` stalls fence ops until the buffers are
-            # empty, so these retire nothing when ops arrive through
-            # the scheduler loop; they are a safety net for direct
-            # execution paths and keep the semantics self-contained.
-            self.fence_drained = ()
-            if kind in FENCE_OPS:
-                self.fence_drained = tuple(self.machine.drain_thread(tid))
-            elif kind == "free":
-                self.fence_drained = tuple(self.machine.drain_all())
-            # "checkpoint" drains all inside _take_checkpoint.
-        if self.tracer is not None:
-            self.tracer.on_op(tid, kind, args)
+    # One ``_op_<kind>`` handler per op kind, dispatched through
+    # ``_handlers``: (thread, args) -> the value sent back to the thread.
 
-        if kind == "load":
-            self.counters.note("loads")
-            return self.machine.load(tid, args[0])
-        if kind == "store":
-            address, value, is_fp, captured_old = args
-            self.counters.note("stores")
-            if is_fp:
-                self.counters.note("fp_stores")
-            self.machine.store(tid, address, value, is_fp=is_fp,
-                               captured_old=captured_old)
-            return None
-        if kind == "read_old":
-            # SW-InstantCheck_Inc's instrumentation read; its cost belongs
-            # to the overhead model, not the native instruction count.
-            return self.memory.load(args[0])
-        if kind == "compute":
-            self.counters.charge("compute", args[0])
-            return None
-        if kind == "malloc":
-            nwords, site, typeinfo = args
-            self.counters.charge("alloc")
-            self.counters.note("allocs")
-            self.counters.note("alloc_words", nwords)
-            return self.control.do_malloc(self, tid, nwords, site, typeinfo)
-        if kind == "free":
-            self.counters.charge("alloc")
-            self.counters.note("frees")
-            self.control.do_free(self, tid, args[0])
-            return None
-        if kind == "lock":
-            self.counters.charge("sync")
-            args[0].acquire(tid)
-            return None
-        if kind == "unlock":
-            self.counters.charge("sync")
-            args[0].release(tid)
-            return None
-        if kind == "barrier":
-            self.counters.charge("sync")
-            return self._exec_barrier(thread, args[0])
-        if kind == "cond_wait":
-            self.counters.charge("sync")
-            cond, lk = args
-            lk.release(tid)
-            cond.add_waiter(tid)
-            thread.status = _Status.PARKED
-            thread.waiting_on = cond
-            return None
-        if kind == "cond_signal":
-            self.counters.charge("sync")
-            woken = args[0].take_one()
-            if woken is not None:
-                self._wake(woken)
-            return None
-        if kind == "cond_broadcast":
-            self.counters.charge("sync")
-            for woken in args[0].take_all():
-                self._wake(woken)
-            return None
-        if kind == "yield":
-            return None
-        if kind == "checkpoint":
-            self.counters.charge("sync")
-            self._take_checkpoint(args[0])
-            return None
-        if kind == "rand":
-            self.counters.charge("libcall")
-            self.counters.note("libcalls")
-            return self.control.do_rand(self, tid)
-        if kind == "time":
-            self.counters.charge("libcall")
-            self.counters.note("libcalls")
-            return self.control.do_time(self, tid)
-        if kind == "write_out":
-            fd, data = args
-            self.counters.charge("output", len(data))
-            self.counters.note("output_words", len(data))
-            self.control.do_write(self, tid, fd, data)
-            return None
-        if kind == "isa":
-            name, isa_args = args
-            if self.scheme is None:
-                return None
-            core = self.machine.core_of(tid)
-            return self.scheme.isa_exec(name, core, *isa_args)
-        raise ProgramError(f"unknown op kind {kind!r}")
+    def _op_load(self, thread: _Thread, args):
+        self.counters.note("loads")
+        return self.machine.load(thread.tid, args[0])
 
-    def _exec_barrier(self, thread: _Thread, barrier) -> None:
+    def _op_store(self, thread: _Thread, args):
+        address, value, is_fp, captured_old = args
+        self.counters.note("stores")
+        if is_fp:
+            self.counters.note("fp_stores")
+        self.machine.store(thread.tid, address, value, is_fp=is_fp,
+                           captured_old=captured_old)
+
+    def _op_read_old(self, thread: _Thread, args):
+        # SW-InstantCheck_Inc's instrumentation read; its cost belongs
+        # to the overhead model, not the native instruction count.
+        return self.memory.load(args[0])
+
+    def _op_compute(self, thread: _Thread, args):
+        self.counters.charge("compute", args[0])
+
+    def _op_malloc(self, thread: _Thread, args):
+        nwords, site, typeinfo = args
+        self.counters.charge("alloc")
+        self.counters.note("allocs")
+        self.counters.note("alloc_words", nwords)
+        return self.control.do_malloc(self, thread.tid, nwords, site, typeinfo)
+
+    def _op_free(self, thread: _Thread, args):
+        self.counters.charge("alloc")
+        self.counters.note("frees")
+        self.control.do_free(self, thread.tid, args[0])
+
+    def _op_lock(self, thread: _Thread, args):
+        self.counters.charge("sync")
+        args[0].acquire(thread.tid)
+
+    def _op_unlock(self, thread: _Thread, args):
+        self.counters.charge("sync")
+        args[0].release(thread.tid)
+
+    def _op_barrier(self, thread: _Thread, args):
+        self.counters.charge("sync")
+        barrier = args[0]
         if barrier.arrive(thread.tid):
             # Everyone is parked at the barrier: the state is quiescent,
             # which is exactly when InstantCheck reads the hash.
@@ -602,10 +554,57 @@ class Runner:
             for rtid in barrier.complete():
                 if rtid != thread.tid:
                     self._wake(rtid)
-            return None
+            return
         thread.status = _Status.PARKED
         thread.waiting_on = barrier
-        return None
+
+    def _op_cond_wait(self, thread: _Thread, args):
+        self.counters.charge("sync")
+        cond, lk = args
+        lk.release(thread.tid)
+        cond.add_waiter(thread.tid)
+        thread.status = _Status.PARKED
+        thread.waiting_on = cond
+
+    def _op_cond_signal(self, thread: _Thread, args):
+        self.counters.charge("sync")
+        woken = args[0].take_one()
+        if woken is not None:
+            self._wake(woken)
+
+    def _op_cond_broadcast(self, thread: _Thread, args):
+        self.counters.charge("sync")
+        for woken in args[0].take_all():
+            self._wake(woken)
+
+    def _op_yield(self, thread: _Thread, args):
+        pass
+
+    def _op_checkpoint(self, thread: _Thread, args):
+        self.counters.charge("sync")
+        self._take_checkpoint(args[0])
+
+    def _op_rand(self, thread: _Thread, args):
+        self.counters.charge("libcall")
+        self.counters.note("libcalls")
+        return self.control.do_rand(self, thread.tid)
+
+    def _op_time(self, thread: _Thread, args):
+        self.counters.charge("libcall")
+        self.counters.note("libcalls")
+        return self.control.do_time(self, thread.tid)
+
+    def _op_write_out(self, thread: _Thread, args):
+        fd, data = args
+        self.counters.charge("output", len(data))
+        self.counters.note("output_words", len(data))
+        self.control.do_write(self, thread.tid, fd, data)
+
+    def _op_isa(self, thread: _Thread, args):
+        name, isa_args = args
+        if self.scheme is not None:
+            core = self.machine.core_of(thread.tid)
+            return self.scheme.isa_exec(name, core, *isa_args)
 
     # -- checkpoints -------------------------------------------------------------------
 

@@ -26,6 +26,7 @@ import random
 
 from repro.core.registry import Registry
 from repro.errors import SchedulerError
+from repro.sim.context import SWITCH_POINTS
 
 GRANULARITIES = ("sync", "access")
 
@@ -50,8 +51,6 @@ class Scheduler:
 
     def is_switch_point(self, op_kind: str | None) -> bool:
         """May the scheduler switch away after an op of this kind?"""
-        from repro.sim.context import SWITCH_POINTS
-
         if self.granularity == "access":
             return True
         return op_kind is None or op_kind in SWITCH_POINTS
@@ -59,10 +58,13 @@ class Scheduler:
     def pick(self, runnable: list, current: int | None, at_switch_point: bool) -> int:
         """Choose the next tid from *runnable* (non-empty, sorted).
 
-        *current* is the thread that ran last (None if it blocked or
-        finished); *at_switch_point* says whether switching away from it
+        *current* is the thread that ran last (None at the start of a
+        phase); *at_switch_point* says whether switching away from it
         is allowed.  The default policy keeps running *current* until a
-        switch point, then delegates to :meth:`choose`.
+        switch point, then delegates to :meth:`choose`.  The runtime
+        relies on that policy: it continues *current* mid-block without
+        calling ``pick`` at all, so it asks only at switch points or
+        once *current* blocks.
         """
         if current is not None and not at_switch_point and current in runnable:
             return current

@@ -1,5 +1,6 @@
 """Tests for worker heartbeats and the parent-side HeartbeatMonitor."""
 
+import multiprocessing
 import os
 import signal
 import threading
@@ -96,6 +97,38 @@ class TestMonitorStateMachine:
         monitor.check_stalls(now=6.0)  # pid 1 silent 6s, pid 2 only 2s
         stalled = _events(sink, "worker_stalled")
         assert [e["worker"] for e in stalled] == [1]
+
+
+class TestMonitorThread:
+    """The real monitor thread, fed through a multiprocessing queue."""
+
+    def _started(self):
+        sink = MemorySink()
+        beats = multiprocessing.Queue()
+        monitor = HeartbeatMonitor(Telemetry(sink), beats, poll_s=5.0)
+        return monitor.start(), beats, sink
+
+    def test_stop_wakes_an_idle_monitor_at_once(self):
+        monitor, beats, sink = self._started()
+        beats.put(_beat(pid=1))
+        deadline = time.monotonic() + 5.0
+        while not _events(sink, "worker_heartbeat"):
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        # The thread is now blocked in a 5 s queue poll.
+        started = time.monotonic()
+        monitor.stop()
+        assert time.monotonic() - started < 1.0
+
+    def test_beats_queued_before_stop_still_produce_events(self):
+        monitor, beats, sink = self._started()
+        for pid in (1, 2, 3):
+            beats.put(_beat(pid=pid))
+        started = time.monotonic()
+        monitor.stop()
+        assert time.monotonic() - started < 1.0
+        assert [e["worker"] for e in _events(sink, "worker_heartbeat")] == [
+            1, 2, 3]
 
 
 class TestPoolIntegration:

@@ -7,7 +7,9 @@ from repro.errors import DeadlockError, SchedulerError
 from repro.sim.layout import StaticLayout
 from repro.sim.program import NativeServices, Program, Runner
 from repro.sim.scheduler import RandomScheduler, RoundRobinScheduler
-from repro.sim.sync import Barrier, CondVar, Lock
+from repro.sim.sync import Barrier, Lock
+
+from _programs import CondQueueProgram
 
 
 class CounterProgram(Program):
@@ -88,47 +90,6 @@ def test_barrier_synchronizes_phases():
         for wid in range(3):
             assert runner.memory.load(
                 program.marks + phase * 3 + wid) == phase + 1
-
-
-class CondQueueProgram(Program):
-    """One producer, one consumer over a single-slot mailbox."""
-
-    name = "condp"
-
-    def __init__(self, items=5):
-        layout = StaticLayout()
-        self.slot = layout.var("slot")
-        self.full = layout.var("full")
-        self.consumed = layout.array("consumed", items)
-        super().__init__(n_workers=2, static_words=layout.words)
-        self.items = items
-
-    def make_state(self):
-        st = super().make_state()
-        st.lock = Lock("mx")
-        st.cond = CondVar("cv")
-        return st
-
-    def worker(self, ctx, st, wid):
-        if wid == 0:  # producer
-            for i in range(self.items):
-                yield from ctx.lock(st.lock)
-                while (yield from ctx.load(self.full)):
-                    yield from ctx.cond_wait(st.cond, st.lock)
-                yield from ctx.store(self.slot, i + 100)
-                yield from ctx.store(self.full, 1)
-                yield from ctx.cond_broadcast(st.cond)
-                yield from ctx.unlock(st.lock)
-        else:  # consumer
-            for i in range(self.items):
-                yield from ctx.lock(st.lock)
-                while not (yield from ctx.load(self.full)):
-                    yield from ctx.cond_wait(st.cond, st.lock)
-                value = yield from ctx.load(self.slot)
-                yield from ctx.store(self.consumed + i, value)
-                yield from ctx.store(self.full, 0)
-                yield from ctx.cond_broadcast(st.cond)
-                yield from ctx.unlock(st.lock)
 
 
 def test_condvar_mailbox():
