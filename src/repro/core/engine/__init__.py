@@ -3,9 +3,9 @@
 Every determinism-checking entry point — serial sessions, process-pool
 sessions, campaigns — is one instantiation of the same pipeline:
 
-* a :class:`~repro.core.engine.plan.SessionPlan` expands a
-  :class:`~repro.core.engine.model.CheckConfig` into concrete run specs
-  (seeds, scheme variants, retry/budget policy, worker topology);
+* a :class:`~repro.core.engine.plan.SessionPlan` resolves a
+  :class:`~repro.core.engine.model.CheckConfig` into what execution
+  needs (scheme variants, retry/budget policy, worker topology);
 * the transport-agnostic :class:`~repro.core.engine.coordinator.
   Coordinator` drives the batch through a
   :class:`~repro.core.engine.transports.Transport` — the legacy
@@ -40,7 +40,7 @@ from repro.core.engine.model import (OUTCOME_CRASH_DIVERGENCE,
                                      RunFailure, VariantVerdict,
                                      classify_outcome, error_outcome,
                                      outcome_from_result)
-from repro.core.engine.plan import RunSpec, SessionPlan
+from repro.core.engine.plan import SessionPlan
 from repro.core.engine.session import execute_campaign, execute_session
 
 __all__ = [
@@ -50,7 +50,7 @@ __all__ = [
     "OUTCOME_INFEASIBLE", "OUTCOME_INCOMPLETE", "OUTCOME_ERROR",
     "InputPoint", "InputOutcome", "CampaignResult", "outcome_from_result",
     "error_outcome",
-    "RunSpec", "SessionPlan", "Judge", "first_divergent_run", "make_verdict",
+    "SessionPlan", "Judge", "first_divergent_run", "make_verdict",
     "record_key", "RunExecutor", "SerialExecutor", "ProcessPoolRunExecutor",
     "resolve_workers", "execute_session", "execute_campaign",
     "Coordinator", "Feedback", "coordinate", "Transport",

@@ -175,8 +175,7 @@ from repro.core.engine.tasks import (  # noqa: E402,F401  (re-exports)
     _mp_context, _worker_init, attempt_run, campaign_input_worker,
     crash_failure, merge_worker_telemetry, require_picklable,
     session_run_worker, telemetry_payload, worker_telemetry)
-from repro.core.engine.pool import (  # noqa: E402,F401  (re-exports)
-    ProcessPoolRunExecutor, _run_isolated)
+from repro.core.engine.pool import ProcessPoolRunExecutor  # noqa: E402
 
 EXECUTORS.register("process-pool", ProcessPoolRunExecutor)
 

@@ -1,11 +1,11 @@
-"""Session planning: expand a config into concrete, executable runs.
+"""Session planning: resolve a config into what the executors run.
 
 A :class:`SessionPlan` is the validated, fully-resolved form of a
-:class:`~repro.core.engine.model.CheckConfig`: one :class:`RunSpec` per
-scheduled run (index + schedule seed), the resolved worker topology,
-the retry policy, and factories for the session-scoped controller,
-runner, and wall-clock budget.  Executors consume the plan; they never
-re-derive anything from the raw config.
+:class:`~repro.core.engine.model.CheckConfig`: the resolved worker
+topology, the retry policy, and factories for the session-scoped
+controller, runner, and wall-clock budget.  Executors consume the plan;
+they never re-derive anything from the raw config.  It holds no
+per-run state (runs are ``range(runs)``): every pool task builds one.
 """
 
 from __future__ import annotations
@@ -22,31 +22,17 @@ from repro.sim.scheduler import SCHEDULERS, make_scheduler
 
 
 @dataclass(frozen=True)
-class RunSpec:
-    """One scheduled run: its position and its schedule seed."""
-
-    index: int  # 0-based position in the session (= merge key)
-    seed: int   # base schedule seed (retries may re-seed from it)
-
-    @property
-    def run(self) -> int:
-        """The 1-based run number, as reports and telemetry label it."""
-        return self.index + 1
-
-
-@dataclass(frozen=True)
 class SessionPlan:
     """Everything the executors need to run one checking session."""
 
     program: Program
     config: CheckConfig
-    specs: tuple  # tuple[RunSpec, ...] in run order
     n_workers: int
 
     @classmethod
     def from_config(cls, program: Program, config: CheckConfig,
                     n_workers: int | None = None) -> SessionPlan:
-        """Validate *config* and expand it into a plan.
+        """Validate *config* and resolve it into a plan.
 
         *n_workers* overrides the config's ``workers`` knob when the
         caller already resolved it (the parallel facade does).
@@ -75,10 +61,7 @@ class SessionPlan:
         if n_workers is None:
             n_workers = (resolve_workers(config.workers)
                          if config.workers != 1 else 1)
-        specs = tuple(RunSpec(index=i, seed=config.base_seed + i)
-                      for i in range(config.runs))
-        return cls(program=program, config=config, specs=specs,
-                   n_workers=n_workers)
+        return cls(program=program, config=config, n_workers=n_workers)
 
     @property
     def retry(self):

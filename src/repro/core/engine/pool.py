@@ -15,11 +15,10 @@ itself and every innocent task still completes — never a hung pool.
 
 from __future__ import annotations
 
+import queue
 import time
-from concurrent.futures import (FIRST_COMPLETED, BrokenExecutor,
-                                ProcessPoolExecutor)
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
-from concurrent.futures import wait
 
 from repro.core.engine import heartbeat as _heartbeat
 from repro.core.engine.executors import CRASHED, _EXPIRED, RunExecutor
@@ -27,17 +26,17 @@ from repro.core.engine.heartbeat import _HEARTBEAT_QUEUE_SIZE, HeartbeatMonitor
 from repro.core.engine.tasks import _mp_context, _worker_init
 
 
-def _run_isolated(worker_fn, args, ctx, deadline):
-    """Re-run one task alone in a fresh single-worker pool.
+def _run_isolated(task, executor, deadline):
+    """Run one ``(worker_fn, args)`` task alone in a fresh 1-worker pool.
 
     Used after a pool break: the parent cannot tell *which* worker died
     (every in-flight future raises ``BrokenProcessPool``), so each
     unresolved task is retried in isolation — the crasher reveals itself
     by breaking its private pool, everything else completes normally.
+    The caller builds the pool, *executor*, with its backend's initializer.
     """
-    executor = ProcessPoolExecutor(max_workers=1, mp_context=ctx,
-                                   initializer=_worker_init)
     value = _EXPIRED
+    worker_fn, args = task
     try:
         future = executor.submit(worker_fn, *args)
         timeout = None
@@ -123,11 +122,11 @@ class ProcessPoolRunExecutor(RunExecutor):
     # -- subclass hooks (no-ops on the plain pickle-channel pool) ------------
 
     def _poll_interval_s(self) -> float | None:
-        """Cap on each wait() so _on_wait_tick runs at that cadence."""
+        """Cap on each wait so _on_wait_tick runs at that cadence."""
         return None
 
     def _on_wait_tick(self) -> None:
-        """Called after every wait() wakeup, timeout or not."""
+        """Called after every wakeup of the wait, timeout or not."""
 
     def _note_result(self, index: int, value):
         """Observe (and possibly rewrite) a task result before yield."""
@@ -145,18 +144,28 @@ class ProcessPoolRunExecutor(RunExecutor):
         initargs = self._start_heartbeats(ctx)
         executor = self._make_pool(ctx, len(indexes), initargs)
         pending = self._pending
+        # One done-callback per submit feeds this queue, so a wakeup costs
+        # O(ready), not a waiter on every pending future.  Arrivals no
+        # longer in ``pending`` (revoked, or doomed with a broken pool)
+        # are skipped.
+        completions = queue.SimpleQueue()
+
+        def submit(index):
+            worker_fn, args = tasks[index]
+            future = executor.submit(worker_fn, *args)
+            pending[future] = index
+            future.add_done_callback(completions.put)
+
         rebuilds_left = self.max_pool_rebuilds
         try:
             # Submission order == index order: the pool starts tasks
             # FIFO, the invariant early cancellation relies on.
             for index in indexes:
-                worker_fn, args = tasks[index]
-                pending[executor.submit(worker_fn, *args)] = index
+                submit(index)
             while True:
                 if not pending:
                     for index in self._requeue_indexes():
-                        worker_fn, args = tasks[index]
-                        pending[executor.submit(worker_fn, *args)] = index
+                        submit(index)
                     if not pending:
                         break
                 timeout = None
@@ -166,8 +175,13 @@ class ProcessPoolRunExecutor(RunExecutor):
                 if poll_s is not None:
                     timeout = (poll_s if timeout is None
                                else min(timeout, poll_s))
-                done, _ = wait(set(pending), timeout=timeout,
-                               return_when=FIRST_COMPLETED)
+                done = []
+                try:
+                    done.append(completions.get(timeout=timeout))
+                    while True:
+                        done.append(completions.get_nowait())
+                except queue.Empty:
+                    pass
                 self._on_wait_tick()
                 if not done:
                     if (self.deadline is not None
@@ -213,8 +227,7 @@ class ProcessPoolRunExecutor(RunExecutor):
                         self.telemetry.registry.counter("pool_rebuilds").inc()
                     executor = self._make_pool(ctx, len(unresolved), initargs)
                     for index in sorted(unresolved):
-                        worker_fn, args = tasks[index]
-                        pending[executor.submit(worker_fn, *args)] = index
+                        submit(index)
                     continue
                 # Second tier: the rebuilt pool broke too — one of the
                 # remaining tasks kills any worker it touches.  Salvage
@@ -227,9 +240,9 @@ class ProcessPoolRunExecutor(RunExecutor):
                                 and time.monotonic() >= self.deadline):
                             self.expired = True
                             break
-                        worker_fn, args = tasks[index]
-                        value = _run_isolated(worker_fn, args, ctx,
-                                              self.deadline)
+                        value = _run_isolated(
+                            tasks[index], self._make_pool(ctx, 1, initargs),
+                            self.deadline)
                         if value is _EXPIRED:
                             self.expired = True
                             break

@@ -144,17 +144,17 @@ def serial_session(plan: SessionPlan, tele):
     budget = plan.new_budget()
     judge = Judge(plan, tele)
 
-    def task_for(spec):
+    def task_for(index):
         def task():
             if budget.expired():
                 return {"record": None, "failure": None, "expired": True}
             record, failure, session_expired = attempt_run(
-                runner, budget, plan.retry, config, tele, spec.index)
+                runner, budget, plan.retry, config, tele, index)
             return {"record": record, "failure": failure,
                     "expired": session_expired}
         return task
 
-    tasks = {spec.index: task_for(spec) for spec in plan.specs}
+    tasks = {index: task_for(index) for index in range(config.runs)}
     _drive(plan, judge, ExecutorTransport(SerialExecutor()), tasks, tele)
     return judge.finalize(workers=1)
 

@@ -60,6 +60,7 @@ from __future__ import annotations
 import os
 import zlib
 from collections import namedtuple
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from multiprocessing import shared_memory
 
@@ -69,6 +70,7 @@ from repro.core.engine.executors import (CRASHED, EXECUTORS,
                                          _worker_init, note_worker_progress,
                                          session_run_worker,
                                          telemetry_payload)
+from repro.core.engine.heartbeat import _env_float
 
 MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -82,16 +84,6 @@ _HEADER_WORDS = 4
 #: Per-lane slot-ring capacity; runs with more checkpoints wrap (the
 #: judge consumes prefixes incrementally, so aged-out slots are spent).
 DEFAULT_SLOTS = 512
-
-
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(name)
-    if not raw:
-        return default
-    try:
-        return float(raw)
-    except ValueError:
-        return default
 
 
 #: Parent poll cadence while futures are in flight
@@ -448,8 +440,6 @@ class ShmemPoolRunExecutor(ProcessPoolRunExecutor):
     # -- pool construction ---------------------------------------------------
 
     def _make_pool(self, ctx, n_tasks: int, initargs):
-        from concurrent.futures import ProcessPoolExecutor
-
         if self.exchange is None:
             # Lanes outlive pool rebuilds: size for every worker any
             # recovery tier may spawn, plus slack for isolation pools.
@@ -541,12 +531,16 @@ class ShmemPoolRunExecutor(ProcessPoolRunExecutor):
     def _note_result(self, index: int, value):
         if value is CRASHED:
             # Salvage the dead run's published prefix: one last sweep
-            # (the lane survives the worker), then read the judge's
-            # consumed count.  A kill mid-publish leaves the seqlock
-            # odd; the last consistent poll still counts.
+            # (lanes survive their workers).  Every attempt at the run
+            # left a lane, some cut short by a pool teardown: take the
+            # deepest.  A kill mid-publish leaves the seqlock odd; the
+            # last consistent poll still counts.
+            depth = self.prefix.progress.get(index, 0)
             for _lane, snap in self._sweep():
                 self.prefix.observe(snap)
-            self.salvage[index] = self.prefix.progress.get(index, 0)
+                if snap.run == index:
+                    depth = max(depth, snap.count)
+            self.salvage[index] = depth
             self._resolved.add(index)
             return value
         if isinstance(value, dict) and value.get("cancelled"):

@@ -148,6 +148,7 @@ class AsyncioLocalTransport(Transport):
         self.monitor: HeartbeatMonitor | None = None
         self._tasks: dict = {}
         self._pending: dict = {}  # asyncio future -> (concurrent future, index)
+        self._completions = asyncio.Queue()  # done futures, see _next
         self._ready: collections.deque = collections.deque()
         self._salvage: list = []
         self._rebuilds_left = self.max_pool_rebuilds
@@ -173,7 +174,9 @@ class AsyncioLocalTransport(Transport):
     def _submit(self, index: int) -> None:
         worker_fn, args = self._tasks[index]
         cf = self._pool.submit(worker_fn, *args)
-        self._pending[asyncio.wrap_future(cf)] = (cf, index)
+        af = asyncio.wrap_future(cf)
+        self._pending[af] = (cf, index)
+        af.add_done_callback(self._completions.put_nowait)
 
     async def start(self, tasks: dict) -> None:
         self._tasks = tasks
@@ -215,20 +218,29 @@ class AsyncioLocalTransport(Transport):
                 return await self._salvage_next()
             if not self._pending:
                 return None
-            timeout = None
-            if self.deadline is not None:
-                timeout = max(0.0, self.deadline - time.monotonic())
-            done, _ = await asyncio.wait(
-                set(self._pending), timeout=timeout,
-                return_when=asyncio.FIRST_COMPLETED)
-            if not done:
-                # Deadline expiry: stop waiting; running workers hit
-                # their own deadline poll, close() abandons them.
-                self.expired = True
-                return None
+            completions = self._completions
+            done = []
+            if completions.empty():
+                timeout = None
+                if self.deadline is not None:
+                    timeout = max(0.0, self.deadline - time.monotonic())
+                try:
+                    done.append(await asyncio.wait_for(completions.get(),
+                                                       timeout))
+                except asyncio.TimeoutError:
+                    # Deadline expiry: stop waiting; running workers hit
+                    # their own deadline poll, close() abandons them.
+                    self.expired = True
+                    return None
+            while not completions.empty():
+                done.append(completions.get_nowait())
             unresolved = []
             for af in done:
-                cf, index = self._pending.pop(af)
+                # Skip revoked futures and those of a broken pool.
+                entry = self._pending.pop(af, None)
+                if entry is None:
+                    continue
+                cf, index = entry
                 if cf.cancelled():
                     continue
                 exc = cf.exception()
@@ -267,9 +279,8 @@ class AsyncioLocalTransport(Transport):
             self.expired = True
             self._salvage = []
             return None
-        worker_fn, args = self._tasks[index]
-        value = await asyncio.to_thread(_run_isolated, worker_fn, args,
-                                        self._ctx, self.deadline)
+        value = await asyncio.to_thread(_run_isolated, self._tasks[index],
+                                        self._make_pool(1), self.deadline)
         if value is _EXPIRED:
             self.expired = True
             self._salvage = []

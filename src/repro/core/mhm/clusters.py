@@ -17,6 +17,7 @@ identical for every routing and every drain order.
 
 from __future__ import annotations
 
+import functools
 import random
 
 from repro.sim.values import MASK64
@@ -31,7 +32,13 @@ class ClusterBank:
         if n_clusters <= 0:
             raise ValueError("need at least one cluster")
         self.partials = [0] * n_clusters
-        self._rng = random.Random(route_seed)
+        self._route_seed = route_seed
+
+    @functools.cached_property
+    def _rng(self) -> random.Random:
+        """The routing RNG, seeded on first use: only random routing
+        draws from it, and every MHM builds a bank."""
+        return random.Random(self._route_seed)
 
     @property
     def n_clusters(self) -> int:

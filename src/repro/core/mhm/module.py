@@ -16,6 +16,7 @@ independent of buffering, drain order, and cluster routing.
 
 from __future__ import annotations
 
+import functools
 import random
 
 from repro.core.hashing.mixers import DEFAULT_MIXER_NAME, Mixer, get_mixer
@@ -41,11 +42,17 @@ class Mhm:
         self.fp_rounding_enabled = self.rounding.enabled
         self.clusters = ClusterBank(n_clusters, route_seed=drain_seed ^ core_id)
         self.drain_policy = drain_policy
-        self._drain_rng = random.Random(drain_seed * 31 + core_id)
+        self._drain_seed = drain_seed * 31 + core_id
         #: Pending write-path entries: (address, old, new, is_fp) tuples.
         self._buffer: list = []
         #: Buffer immediately applied when 1 (the Figure 3(a) design).
         self.buffer_capacity = 0 if drain_policy == "fifo" and n_clusters == 1 else 64
+
+    @functools.cached_property
+    def _drain_rng(self) -> random.Random:
+        """The drain-order RNG, seeded on first use: only the buffered
+        designs draw from it, and every core of every run builds an MHM."""
+        return random.Random(self._drain_seed)
 
     # -- hash-unit datapath --------------------------------------------------------
 

@@ -18,6 +18,7 @@ runs.
 from __future__ import annotations
 
 import enum
+import functools
 import random
 import time
 from dataclasses import dataclass, field
@@ -205,6 +206,17 @@ class _Thread:
         self.waiting_on = None
 
 
+@functools.cache
+def _op_handler_names(cls) -> tuple:
+    """``(op kind, method name)`` for each ``_op_*`` handler of *cls*.
+
+    ``dir()`` is slow and a pool worker builds a runner per task, so the
+    scan runs once per concrete class; a subclass's overrides win.
+    """
+    return tuple((name[len("_op_"):], name) for name in dir(cls)
+                 if name.startswith("_op_"))
+
+
 class Runner:
     """Executes one interleaving of a :class:`Program`."""
 
@@ -247,8 +259,8 @@ class Runner:
         #: registry accumulates per-scheme hash-update counts, Figure 6
         #: instruction categories, and scheduler decisions.
         self.telemetry = telemetry
-        self._handlers = {name[len("_op_"):]: getattr(self, name)
-                          for name in dir(self) if name.startswith("_op_")}
+        self._handlers = {kind: getattr(self, name)
+                          for kind, name in _op_handler_names(type(self))}
 
         # Per-run state, rebuilt by run(); exposed for inspection in tests.
         self.memory: Memory | None = None

@@ -19,6 +19,7 @@ from repro.core.engine import (OUTCOME_CRASH_DIVERGENCE,
                                CheckConfig, FrozenDict, Judge, SessionPlan,
                                classify_outcome, execute_session)
 from repro.core.checker.runner import check_determinism
+from repro.core.engine.executors import resolve_executor
 from repro.errors import CheckerError
 from repro.sim.faults import make_fault
 from repro.telemetry import MemorySink, Telemetry
@@ -184,6 +185,15 @@ def test_plan_rejects_unknown_judge_variant():
                                 CheckConfig(runs=4, judge_variant="nope"))
 
 
+def test_plan_holds_no_per_run_state():
+    # Every pool worker task builds its own plan, so building one must
+    # not cost O(runs).  Both run counts pickle as the same int width.
+    program = make("fft")
+    small = SessionPlan.from_config(program, CheckConfig(runs=2**10))
+    large = SessionPlan.from_config(program, CheckConfig(runs=2**15))
+    assert len(pickle.dumps(small)) == len(pickle.dumps(large))
+
+
 # -- stop_on_first: true early exit on the pool --------------------------------
 
 
@@ -197,7 +207,8 @@ def test_stop_on_first_pool_emits_session_cancelled():
               if e.get("t") == "event" and e["name"] == "session_cancelled"]
     assert len(events) == 1
     event = events[0]
-    assert event["backend"] == "process-pool"
+    # $REPRO_EXECUTOR picks the pool flavor in the CI executor cells.
+    assert event["backend"] == resolve_executor("auto", 2)
     assert event["completed"] >= 2
     assert event["completed"] + event["failed"] <= 12
     snapshot = tele.registry.snapshot()

@@ -311,3 +311,20 @@ def test_mid_block_fence_stalled_under_tso_picks_the_drain():
     assert runner.steps == [(1, "store"), (drain, "drain"), (1, "lock"),
                             (1, "unlock")]
     assert runner.memory.load(runner.program.x) == 1
+
+
+def test_subclass_op_handler_overrides_dispatch():
+    """Handler names are scanned once per class: a subclass's ``_op_*``
+    override is what its instances dispatch to, and the base class's
+    runners keep the base handler."""
+    class CountingRunner(Runner):
+        def _op_store(self, thread, args):
+            self.stores_seen += 1
+            return super()._op_store(thread, args)
+
+    counting = CountingRunner(Fig1Program(), n_cores=2)
+    counting.stores_seen = 0
+    record = counting.run(7)
+    assert counting.stores_seen == record.events["stores"] > 0
+    base = Runner(Fig1Program(), n_cores=2)
+    assert base._handlers["store"].__func__ is Runner._op_store
