@@ -1,24 +1,18 @@
-"""Coordinator-transport overhead: asyncio-local and socket vs the pool.
+"""Coordinator-transport cost: the socket fleet vs the local pool.
 
-The coordinator refactor re-expressed every executor backend as a
-``Transport`` driven by one async scheduling loop.  This benchmark is
-the regression gate for that refactor's cost: the natively-async local
-pool (``asyncio-local``) must stay within a configurable fraction
-(default 10%) of the legacy ``process-pool`` wall-clock on the same
-session, with bit-identical verdicts.  It also measures the ``socket``
-fleet — a hub plus real ``repro worker`` subprocesses on loopback — as
-an informational row (socket adds serialization and TCP hops by
-design; it buys distribution, not local speed).
+Every executor backend is a ``Transport`` driven by one async
+scheduling loop.  This benchmark runs the same session on the
+``serial`` backend, the local ``process-pool`` and the ``socket``
+fleet — a hub plus real ``repro worker`` subprocesses on loopback —
+and fails unless all three verdicts are bit-identical.  The wall-clock
+rows are informational: socket adds serialization and TCP hops by
+design; it buys distribution, not local speed.
 
 Results land in ``benchmarks/results/serve.json``.
 
 Usage::
 
-    python benchmarks/bench_serve.py                     # measure only
-    python benchmarks/bench_serve.py --max-overhead-pct 10   # CI gate
-
-The gate self-disables on hosts with fewer than 4 CPUs (a loaded
-single-core container cannot measure a 10% margin, only correctness).
+    python benchmarks/bench_serve.py
 """
 
 from __future__ import annotations
@@ -75,13 +69,13 @@ def measure(app: str = DEFAULT_APP, runs: int = DEFAULT_RUNS,
 
     rows = {}
     reference = None
-    for executor in ("process-pool", "asyncio-local"):
+    for executor in ("serial", "process-pool"):
         wall, verdict = _time_session(app, runs, workers, executor, repeats)
         if reference is None:
             reference = verdict
         elif verdict != reference:
             raise AssertionError(
-                f"{app}: verdict on {executor!r} differs from the pool — "
+                f"{app}: verdict on {executor!r} differs from serial — "
                 f"the coordinator transport broke bit-identity")
         rows[executor] = {"wall_s": round(wall, 4)}
 
@@ -108,7 +102,7 @@ def measure(app: str = DEFAULT_APP, runs: int = DEFAULT_RUNS,
                                           repeats)
             if verdict != reference:
                 raise AssertionError(
-                    f"{app}: socket verdict differs from the pool — the "
+                    f"{app}: socket verdict differs from serial — the "
                     f"wire transport broke bit-identity")
             rows["socket"] = {"wall_s": round(wall, 4)}
         finally:
@@ -141,10 +135,6 @@ def main(argv=None) -> int:
     parser.add_argument("--repeats", type=int, default=2)
     parser.add_argument("--no-socket", action="store_true",
                         help="skip the socket-fleet row (no subprocesses)")
-    parser.add_argument("--max-overhead-pct", type=float, default=None,
-                        help="fail if asyncio-local exceeds the pool's "
-                        "wall-clock by more than this percentage "
-                        "(ignored on hosts with < 4 CPUs)")
     parser.add_argument("--out", default=os.path.join(
         RESULTS_DIR, "serve.json"))
     args = parser.parse_args(argv)
@@ -158,21 +148,6 @@ def main(argv=None) -> int:
     print(json.dumps(payload, indent=2, sort_keys=True))
     print(f"\nwrote {args.out}")
 
-    if args.max_overhead_pct is not None:
-        cpus = os.cpu_count() or 1
-        overhead = payload["transports"]["asyncio-local"]["vs_pool_pct"]
-        if cpus < 4:
-            print(f"NOTE: only {cpus} CPU(s) — the overhead margin cannot "
-                  f"be measured here; gate not enforced (measured: "
-                  f"{overhead:+.1f}%)")
-        elif overhead > args.max_overhead_pct:
-            print(f"FAIL: asyncio-local is {overhead:+.1f}% vs the pool "
-                  f"(allowed: +{args.max_overhead_pct:.1f}%)",
-                  file=sys.stderr)
-            return 1
-        else:
-            print(f"OK: asyncio-local within {args.max_overhead_pct:.1f}% "
-                  f"of the pool ({overhead:+.1f}%)")
     return 0
 
 
@@ -180,7 +155,7 @@ def test_serve_bench_verdict_identity():
     """Pytest-visible reduced shape check (no socket fleet)."""
     payload = measure(runs=4, workers=2, repeats=1, with_socket=False)
     assert payload["verdicts_identical"]
-    assert payload["transports"]["asyncio-local"]["vs_pool_pct"] is not None
+    assert payload["transports"]["serial"]["vs_pool_pct"] is not None
 
 
 if __name__ == "__main__":

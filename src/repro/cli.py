@@ -324,16 +324,14 @@ def _add_robustness_args(parser) -> None:
                         "= serial")
     parser.add_argument("--executor", default="auto",
                         choices=("auto", "serial", "process-pool",
-                                 "process-pool-shmem", "asyncio-local",
-                                 "socket"),
-                        help="run-executor backend; 'auto' picks serial for "
+                                 "process-pool-shmem", "socket"),
+                        help="execution backend; 'auto' picks serial for "
                         "--workers 1 and otherwise honors $REPRO_EXECUTOR "
                         "before defaulting to process-pool; process-pool-"
                         "shmem adds the shared-memory checkpoint exchange "
-                        "with mid-run divergence cancellation; asyncio-local "
-                        "drives the pool through the async coordinator; "
-                        "socket dispatches runs to 'repro worker' processes "
-                        "(needs 'repro serve' or REPRO_SOCKET_PORT)")
+                        "with mid-run divergence cancellation; socket "
+                        "dispatches runs to 'repro worker' processes (needs "
+                        "'repro serve' or REPRO_SOCKET_PORT)")
 
 
 def _add_observability_args(parser) -> None:

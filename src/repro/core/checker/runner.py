@@ -23,8 +23,6 @@ without changing any verdict bit (see docs/observability.md).
 
 from __future__ import annotations
 
-from repro.core.engine.judge import first_divergent_run as _first_divergent_run
-from repro.core.engine.judge import make_verdict as _make_verdict
 from repro.core.engine.model import (OUTCOME_CRASH_DIVERGENCE,
                                      OUTCOME_DETERMINISTIC,
                                      OUTCOME_INCOMPLETE, OUTCOME_INFEASIBLE,
@@ -41,10 +39,6 @@ __all__ = [
     "OUTCOME_DETERMINISTIC", "OUTCOME_NONDETERMINISTIC",
     "OUTCOME_CRASH_DIVERGENCE", "OUTCOME_INFEASIBLE", "OUTCOME_INCOMPLETE",
 ]
-
-# Backwards-compatible private aliases (pre-engine callers import these).
-_first_divergent_run = _first_divergent_run
-_make_verdict = _make_verdict
 
 
 def check_determinism(program: Program, config: CheckConfig | None = None,

@@ -8,27 +8,28 @@ sessions, campaigns — is one instantiation of the same pipeline:
   needs (scheme variants, retry/budget policy, worker topology);
 * the transport-agnostic :class:`~repro.core.engine.coordinator.
   Coordinator` drives the batch through a
-  :class:`~repro.core.engine.transports.Transport` — the legacy
-  :class:`~repro.core.engine.executors.RunExecutor` backends behind an
-  adapter, the natively-async local pool (``asyncio-local``), or the
-  socket worker fleet (``socket``, docs/distributed.md) — streaming
-  completed runs back in completion order behind one interface;
+  :class:`~repro.core.engine.transports.Transport` — inline
+  (``serial``), the local process pool (``process-pool``, optionally
+  with the shared-memory checkpoint exchange, ``process-pool-shmem``),
+  or the socket worker fleet (``socket``, docs/distributed.md) —
+  streaming completed runs back in completion order behind one
+  interface;
 * an incremental :class:`~repro.core.engine.judge.Judge` folds each
   run's checkpoint-hash sequence into the verdict as it arrives and can
   issue a cancel signal — ``stop_on_first`` cancels outstanding work
   the moment a divergence is seen, on every backend.
 
 The public checker modules (``repro.core.checker.runner`` /
-``campaign`` / ``parallel``) are thin facades over this package; their
-APIs and verdicts are unchanged.  See docs/architecture.md.
+``campaign``) are thin facades over this package; their APIs and
+verdicts are unchanged.  See docs/architecture.md.
 """
 
 from repro.core.engine.coordinator import Coordinator, Feedback, coordinate
-from repro.core.engine.executors import (ProcessPoolRunExecutor, RunExecutor,
-                                         SerialExecutor, resolve_workers)
+from repro.core.engine.executors import resolve_workers
+from repro.core.engine.shmem import ShmemPoolTransport
 from repro.core.engine.sockets import SocketTransport, WorkerHub
-from repro.core.engine.transports import (AsyncioLocalTransport,
-                                          ExecutorTransport, Transport)
+from repro.core.engine.transports import (InlineTransport,
+                                          ProcessPoolTransport, Transport)
 from repro.core.engine.judge import (Judge, first_divergent_run, make_verdict,
                                      record_key)
 from repro.core.engine.model import (OUTCOME_CRASH_DIVERGENCE,
@@ -51,9 +52,8 @@ __all__ = [
     "InputPoint", "InputOutcome", "CampaignResult", "outcome_from_result",
     "error_outcome",
     "SessionPlan", "Judge", "first_divergent_run", "make_verdict",
-    "record_key", "RunExecutor", "SerialExecutor", "ProcessPoolRunExecutor",
-    "resolve_workers", "execute_session", "execute_campaign",
-    "Coordinator", "Feedback", "coordinate", "Transport",
-    "ExecutorTransport", "AsyncioLocalTransport", "SocketTransport",
+    "record_key", "resolve_workers", "execute_session", "execute_campaign",
+    "Coordinator", "Feedback", "coordinate", "Transport", "InlineTransport",
+    "ProcessPoolTransport", "ShmemPoolTransport", "SocketTransport",
     "WorkerHub",
 ]

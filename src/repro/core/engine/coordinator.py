@@ -1,11 +1,11 @@
 """The transport-agnostic coordinator: one async scheduling loop.
 
-Every backend — serial, process pools, the asyncio-local pool, the
-socket worker fleet — is driven by the same loop: submit the task
-batch through a :class:`~repro.core.engine.transports.Transport`,
-await results in completion order, fold each one into the caller's
-*feedback* object (the incremental judge for sessions, the outcome
-recorder for campaigns), and steer cancellation:
+Every backend — serial, the local process pools, the socket worker
+fleet — is driven by the same loop: submit the task batch through a
+:class:`~repro.core.engine.transports.Transport`, await results in
+completion order, fold each one into the caller's *feedback* object
+(the incremental judge for sessions, the outcome recorder for
+campaigns), and steer cancellation:
 
 * **judge-driven** — ``stop_on_first`` saw a divergence: cancel with
   the divergence floor (work at or below it still completes, so the
@@ -82,6 +82,12 @@ class Coordinator:
                         self.stop_cancelled = True
                     elif feedback.budget_exhausted():
                         await transport.cancel()
+        except BaseException:
+            # A shutdown signal, the coordinator's task cancelled on its
+            # way out, a failing fold: the batch is abandoned, so close()
+            # must not wait out the work still in flight.
+            transport.aborted = True
+            raise
         finally:
             await transport.close()
         if self.stop_cancelled and self.tele:

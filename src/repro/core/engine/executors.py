@@ -1,29 +1,22 @@
-"""Executor backends: registry, resolution, and the streaming interface.
+"""Executor backends: the catalog and its resolution.
 
-A :class:`RunExecutor` takes an index-keyed mapping of tasks and yields
-``(index, value)`` pairs in *completion* order.  The engine's
-:class:`~repro.core.engine.coordinator.Coordinator` folds each value
-into the :class:`~repro.core.engine.judge.Judge` and may call
-:meth:`RunExecutor.cancel` mid-stream — the judge's early-exit signal.
+Every backend is a :class:`~repro.core.engine.transports.Transport`
+that the engine's :class:`~repro.core.engine.coordinator.Coordinator`
+drives — submit a batch, fold results in completion order, cancel
+mid-stream on the judge's early-exit signal:
 
-This module is the backend *catalog* and the two simplest backends:
+* ``serial`` — :class:`~repro.core.engine.transports.InlineTransport`
+  runs tasks inline, in index order;
+* ``process-pool`` — :class:`~repro.core.engine.transports.
+  ProcessPoolTransport` fans tasks across a local process pool;
+* ``process-pool-shmem`` — :class:`~repro.core.engine.shmem.
+  ShmemPoolTransport` adds the shared-memory checkpoint exchange;
+* ``socket`` — :class:`~repro.core.engine.sockets.SocketTransport`
+  dispatches runs to ``repro worker`` processes, possibly on other
+  machines (docs/distributed.md).
 
-* :class:`SerialExecutor` runs tasks inline, in index order; cancel
-  simply stops before the next task.
-* :class:`~repro.core.engine.pool.ProcessPoolRunExecutor` fans tasks
-  across a process pool (:mod:`repro.core.engine.pool`).
-* ``process-pool-shmem`` extends the pool with the shared-memory
-  checkpoint exchange (:mod:`repro.core.engine.shmem`).
-* ``asyncio-local`` and ``socket`` are coordinator-native transports
-  (:mod:`repro.core.engine.transports`,
-  :mod:`repro.core.engine.sockets`): the same verdict pipeline driven
-  by the asyncio coordinator, locally or across worker processes on
-  other machines (docs/distributed.md).
-
-The worker task functions live in :mod:`repro.core.engine.tasks`, the
-heartbeat plane in :mod:`repro.core.engine.heartbeat`, and the pool in
-:mod:`repro.core.engine.pool`; their public names are re-exported here
-so existing imports keep working.
+The worker task functions live in :mod:`repro.core.engine.tasks` and
+the heartbeat plane in :mod:`repro.core.engine.heartbeat`.
 """
 
 from __future__ import annotations
@@ -55,13 +48,9 @@ def resolve_workers(workers) -> int:
     return workers
 
 
-#: The executor-backend registry (the 9th catalog family).  ``serial``
-#: registers here; ``process-pool`` from :mod:`repro.core.engine.pool`,
-#: ``process-pool-shmem`` from :mod:`repro.core.engine.shmem`,
-#: ``asyncio-local`` from :mod:`repro.core.engine.transports` and
-#: ``socket`` from :mod:`repro.core.engine.sockets` (all imported at
+#: The executor-backend registry (the 9th catalog family), filled at
 #: the bottom of this module so the catalog is complete whenever
-#: executors are loadable).
+#: executors are loadable.
 EXECUTORS = Registry("executors", error=CheckerError,
                      what="executor backend")
 
@@ -101,92 +90,18 @@ def resolve_executor(name: str, n_workers: int) -> str:
     return "process-pool"
 
 
-class RunExecutor:
-    """Backend interface: stream task results, accept a cancel signal."""
-
-    name = "abstract"
-
-    def __init__(self):
-        self.cancelled = False   # cancel() was issued mid-stream
-        self.cancelled_count = 0  # tasks revoked before they started
-        self.expired = False     # the session deadline cut the stream short
-
-    def stream(self, tasks: dict):
-        """Yield ``(index, value)`` in completion order.
-
-        *tasks* maps run index to a backend-specific task description.
-        The generator honours :meth:`cancel` between yields.
-        """
-        raise NotImplementedError
-
-    def cancel(self, floor: int | None = None) -> None:
-        """Stop issuing new work; already-running work is drained.
-
-        *floor* is the lowest run index the caller knows to be
-        divergent: work at or below it must still complete for the
-        truncated verdict to stay bit-identical (backends that can
-        requeue work out of submission order honour it; the plain
-        backends never have unstarted work at or below a folded
-        divergence, so they may ignore it).
-        """
-        self.cancelled = True
-
-    def salvaged_checkpoints(self, index: int) -> int:
-        """Checkpoints known to have completed in a run that crashed.
-
-        The pickle-channel backends learn nothing from a dead worker;
-        the shmem backend reads the dead run's published lane prefix.
-        """
-        return 0
-
-
-class SerialExecutor(RunExecutor):
-    """Run tasks inline, one at a time, in index order.
-
-    A task is a zero-argument callable; cancellation takes effect
-    before the next task starts (the current one already returned —
-    the engine folds, then decides).
-    """
-
-    name = "serial"
-
-    def stream(self, tasks: dict):
-        for index in sorted(tasks):
-            if self.cancelled:
-                self.cancelled_count += 1
-                continue
-            yield index, tasks[index]()
-
-
-EXECUTORS.register("serial", SerialExecutor)
-
-# -- compat re-exports and backend registration ------------------------------
+# -- backend registration -----------------------------------------------------
 #
-# The modules below import *from* this one (sentinels, the registry,
-# RunExecutor) — everything they need is defined above, so the cycles
-# resolve.  Import order matters: heartbeat/tasks first (pool needs
-# them), then the pool, then the coordinator-native transports, then
-# shmem (which subclasses the pool).
+# The backends import the sentinels above from this module, so they are
+# imported last (the package ``__init__`` loads this module first, which
+# resolves the cycles).  Registration order is the listing order.
 
-from repro.core.engine.heartbeat import (  # noqa: E402,F401  (re-exports)
-    HEARTBEAT_INTERVAL_S, WORKER_STALL_S, _HB_STATE, _HEARTBEAT_QUEUE_SIZE,
-    HeartbeatMonitor, _beat_loop, _env_float, note_worker_progress)
-from repro.core.engine.tasks import (  # noqa: E402,F401  (re-exports)
-    _mp_context, _worker_init, attempt_run, campaign_input_worker,
-    crash_failure, merge_worker_telemetry, require_picklable,
-    session_run_worker, telemetry_payload, worker_telemetry)
-from repro.core.engine.pool import ProcessPoolRunExecutor  # noqa: E402
+from repro.core.engine.transports import (  # noqa: E402
+    InlineTransport, ProcessPoolTransport)
+from repro.core.engine.shmem import ShmemPoolTransport  # noqa: E402
+from repro.core.engine.sockets import SocketTransport  # noqa: E402
 
-EXECUTORS.register("process-pool", ProcessPoolRunExecutor)
-
-from repro.core.engine.transports import (  # noqa: E402,F401  (registration)
-    AsyncioLocalTransport)
-from repro.core.engine.sockets import (  # noqa: E402,F401  (registration)
-    SocketTransport)
-
-EXECUTORS.register("asyncio-local", AsyncioLocalTransport)
+EXECUTORS.register("serial", InlineTransport)
+EXECUTORS.register("process-pool", ProcessPoolTransport)
+EXECUTORS.register("process-pool-shmem", ShmemPoolTransport)
 EXECUTORS.register("socket", SocketTransport)
-
-# The shmem backend registers itself on import; importing it here keeps
-# the executors catalog complete whenever this home module is loaded.
-from repro.core.engine import shmem as _shmem  # noqa: E402,F401  (cycle-safe)

@@ -35,7 +35,8 @@ class SessionPlan:
         """Validate *config* and resolve it into a plan.
 
         *n_workers* overrides the config's ``workers`` knob when the
-        caller already resolved it (the parallel facade does).
+        caller already resolved it (a pool worker runs its one run
+        serially).
         """
         from repro.core.engine.executors import resolve_workers
 

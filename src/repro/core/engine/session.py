@@ -6,7 +6,7 @@ determinism-checking session: it expands the config into a
 backend from the resolved worker topology, streams completed runs into
 an incremental :class:`~repro.core.engine.judge.Judge`, and lets the
 judge cancel outstanding work (``stop_on_first``) or react to budget
-exhaustion — one control flow for both backends.  A judge-driven
+exhaustion — one control flow for every backend.  A judge-driven
 cancellation is observable as a ``session_cancelled`` telemetry event
 (and the ``sessions_cancelled`` counter).
 
@@ -21,18 +21,21 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+from repro.core.engine import wire
 from repro.core.engine.coordinator import Coordinator, Feedback, coordinate
-from repro.core.engine.executors import (CRASHED, ProcessPoolRunExecutor,
-                                         SerialExecutor, attempt_run,
-                                         campaign_input_worker, crash_failure,
-                                         merge_worker_telemetry,
-                                         require_picklable, resolve_executor,
-                                         resolve_workers, session_run_worker)
+from repro.core.engine.executors import (CRASHED, resolve_executor,
+                                         resolve_workers)
 from repro.core.engine.judge import Judge
-from repro.core.engine.transports import ExecutorTransport
 from repro.core.engine.model import (OUTCOME_ERROR, CampaignResult,
                                      error_outcome, outcome_from_result)
 from repro.core.engine.plan import SessionPlan
+from repro.core.engine.shmem import (ShmemPoolTransport,
+                                     shmem_session_run_worker)
+from repro.core.engine.sockets import SocketTransport
+from repro.core.engine.tasks import (attempt_run, campaign_input_worker,
+                                     crash_failure, merge_worker_telemetry,
+                                     require_picklable, session_run_worker)
+from repro.core.engine.transports import InlineTransport, ProcessPoolTransport
 from repro.errors import ReproError, SessionInterrupted, WorkerCrashError
 
 
@@ -59,11 +62,11 @@ def execute_session(program, config, telemetry=None):
 
 
 def _fold_value(plan, judge, tele, index, value, seen_pids=None,
-                executor=None) -> None:
-    """Fold one executor result — run record, failure, crash, or
+                transport=None) -> None:
+    """Fold one transport result — run record, failure, crash, or
     budget-expiry marker — into the judge."""
     if value is CRASHED:
-        salvaged = executor.salvaged_checkpoints(index) if executor else 0
+        salvaged = transport.salvaged_checkpoints(index) if transport else 0
         judge.fold_failure(index,
                            crash_failure(plan.config, index,
                                          f"run {index + 1}",
@@ -155,7 +158,7 @@ def serial_session(plan: SessionPlan, tele):
         return task
 
     tasks = {index: task_for(index) for index in range(config.runs)}
-    _drive(plan, judge, ExecutorTransport(SerialExecutor()), tasks, tele)
+    _drive(plan, judge, InlineTransport(), tasks, tele)
     return judge.finalize(workers=1)
 
 
@@ -167,10 +170,11 @@ def pool_session(plan: SessionPlan, tele, backend: str = "process-pool"):
     one at a time, as serial would).  Phase 2 fans the remaining run
     indexes across the pool; results merge by run index, so the
     records/failures — and everything judged from them — are identical
-    to the serial session's.  *backend* picks the pool flavor:
-    ``process-pool`` (pickle channel only) or ``process-pool-shmem``
+    to the serial session's.  *backend* picks the fan-out:
+    ``process-pool`` (pickle channel only), ``process-pool-shmem``
     (checkpoint hashes streamed through shared memory, with mid-run
-    divergence cancellation under ``stop_on_first``).
+    divergence cancellation under ``stop_on_first``) or ``socket``
+    (the ``repro worker`` fleet).
     """
     require_picklable(program=plan.program, config=plan.config)
     config = plan.config
@@ -197,50 +201,19 @@ def pool_session(plan: SessionPlan, tele, backend: str = "process-pool"):
             judge.fold_record(index, record)
         index += 1
 
-    # Phase 2 — replayed runs, fanned out across the pool (or the
-    # coordinator-native transports: the asyncio-local pool, the
-    # socket worker fleet).
+    # Phase 2 — replayed runs, fanned out across the pool or the
+    # socket worker fleet.
     remaining = [] if judge.budget_exhausted else range(index, config.runs)
     if remaining:
         telemetry_on = tele is not None
-        worker_fn = session_run_worker
-        if backend == "process-pool-shmem":
-            from repro.core.engine.shmem import (ShmemPoolRunExecutor,
-                                                 shmem_session_run_worker)
-
-            worker_fn = shmem_session_run_worker
-            # The reference prefix is phase 1's record (the judge's
-            # lowest-index record — remaining is only nonempty once the
-            # record run completed).
-            reference = (judge.completed[min(judge.completed)]
-                         if judge.completed else None)
-            transport = ExecutorTransport(ShmemPoolRunExecutor(
-                plan.n_workers, deadline=budget.session_deadline,
-                telemetry=tele, reference=reference,
-                cancel_enabled=config.stop_on_first))
-        elif backend == "asyncio-local":
-            from repro.core.engine.transports import AsyncioLocalTransport
-
-            transport = AsyncioLocalTransport(
-                plan.n_workers, deadline=budget.session_deadline,
-                telemetry=tele)
-        elif backend == "socket":
-            from repro.core.engine.sockets import SocketTransport
-
-            transport = SocketTransport(
-                plan.n_workers, deadline=budget.session_deadline,
-                telemetry=tele)
-        else:
-            transport = ExecutorTransport(ProcessPoolRunExecutor(
-                plan.n_workers, deadline=budget.session_deadline,
-                telemetry=tele))
+        deadline = budget.session_deadline
         if backend == "socket":
             # Socket tasks are wire descriptors: the program travels by
             # registry name, data payloads as blobs (repro.core.engine
             # .wire); the hub stamps each run's remaining deadline at
             # dispatch time.
-            from repro.core.engine import wire
-
+            transport = SocketTransport(plan.n_workers, deadline=deadline,
+                                        telemetry=tele)
             spec = wire.program_spec(plan.program)
             config_blob = wire.pack_blob(config)
             malloc_blob = wire.pack_blob(control.malloc_log)
@@ -252,9 +225,24 @@ def pool_session(plan: SessionPlan, tele, backend: str = "process-pool"):
                 for i in remaining
             }
         else:
+            worker_fn = session_run_worker
+            if backend == "process-pool-shmem":
+                worker_fn = shmem_session_run_worker
+                # The reference prefix is phase 1's record (the judge's
+                # lowest-index record — remaining is only nonempty once
+                # the record run completed).
+                reference = (judge.completed[min(judge.completed)]
+                             if judge.completed else None)
+                transport = ShmemPoolTransport(
+                    plan.n_workers, deadline=deadline, telemetry=tele,
+                    reference=reference,
+                    cancel_enabled=config.stop_on_first)
+            else:
+                transport = ProcessPoolTransport(
+                    plan.n_workers, deadline=deadline, telemetry=tele)
             tasks = {
                 i: (worker_fn,
-                    (plan.program, config, i, budget.session_deadline,
+                    (plan.program, config, i, deadline,
                      control.malloc_log, control.libcall_log, telemetry_on))
                 for i in remaining
             }
@@ -331,8 +319,8 @@ def fan_out_campaign(program_factory, points, config, tele, journal,
     run, keyed by their position in the campaign's input list so the
     merged outcomes keep input order.  Returns ``(outcomes, name)``
     with *outcomes* mapping position -> ``InputOutcome``.  *backend*
-    picks the fan-out flavor: the process pool (default), the
-    asyncio-local pool, or the socket worker fleet.
+    picks the fan-out flavor: the process pool (default) or the socket
+    worker fleet.
     """
     # Campaign parallelism is across inputs, never nested: each worker
     # runs its session serially, so an explicit pool executor in the
@@ -341,9 +329,6 @@ def fan_out_campaign(program_factory, points, config, tele, journal,
     telemetry_on = tele is not None
     by_position = dict(points)
     if backend == "socket":
-        from repro.core.engine import wire
-        from repro.core.engine.sockets import SocketTransport
-
         factory_spec = wire.factory_spec(program_factory)
         config_blob = wire.pack_blob(worker_config)
         tasks = {pos: {"kind": "campaign_input", "factory": factory_spec,
@@ -356,14 +341,7 @@ def fan_out_campaign(program_factory, points, config, tele, journal,
         tasks = {pos: (campaign_input_worker,
                        (program_factory, point, worker_config, telemetry_on))
                  for pos, point in points}
-        if backend == "asyncio-local":
-            from repro.core.engine.transports import AsyncioLocalTransport
-
-            transport = AsyncioLocalTransport(n_workers, telemetry=tele)
-        else:
-            transport = ExecutorTransport(
-                ProcessPoolRunExecutor(n_workers, deadline=None,
-                                       telemetry=tele))
+        transport = ProcessPoolTransport(n_workers, telemetry=tele)
     if tele:
         for pos, point in points:
             tele.event("progress", kind="input", input=point.name,

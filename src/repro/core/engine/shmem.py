@@ -1,7 +1,7 @@
 """Shared-memory checkpoint-hash exchange: mid-run divergence cancel.
 
-The pickle channel of :class:`~repro.core.engine.executors.
-ProcessPoolRunExecutor` only reports a run when it *finishes*, so a
+The pickle channel of :class:`~repro.core.engine.transports.
+ProcessPoolTransport` only reports a run when it *finishes*, so a
 ``stop_on_first`` session keeps paying for doomed runs long after their
 hash prefix has diverged — cancellation is run-granular.  This module
 makes it *checkpoint*-granular: workers publish each checkpoint hash
@@ -40,7 +40,7 @@ published prefix against the reference run's slots.  A mismatched
 position — or more checkpoints than the reference has — proves the
 run's final record would diverge (slots are a pure function of the
 fields :func:`~repro.core.engine.judge.record_key` compares), so under
-``stop_on_first`` the executor raises the lane's cancel flag and the
+``stop_on_first`` the transport raises the lane's cancel flag and the
 worker raises :class:`MidRunCancelled` at its next checkpoint.
 
 Bit-identity with the serial backend is preserved by *reconciliation*:
@@ -65,12 +65,11 @@ from dataclasses import dataclass
 from multiprocessing import shared_memory
 
 from repro.core import failpoints
-from repro.core.engine.executors import (CRASHED, EXECUTORS,
-                                         ProcessPoolRunExecutor,
-                                         _worker_init, note_worker_progress,
-                                         session_run_worker,
-                                         telemetry_payload)
-from repro.core.engine.heartbeat import _env_float
+from repro.core.engine.executors import CRASHED
+from repro.core.engine.heartbeat import _env_float, note_worker_progress
+from repro.core.engine.tasks import (_worker_init, session_run_worker,
+                                     telemetry_payload)
+from repro.core.engine.transports import ProcessPoolTransport
 
 MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -370,7 +369,7 @@ def shmem_session_run_worker(program, config, index, session_deadline,
                              telemetry_on: bool) -> dict:
     """One scheduled run, publishing its checkpoint hashes as it goes.
 
-    Wraps :func:`~repro.core.engine.executors.session_run_worker` with
+    Wraps :func:`~repro.core.engine.tasks.session_run_worker` with
     the lane protocol; without a claimed lane it *is* that function.  A
     mid-run cancellation returns a marker dict (``cancelled: True``)
     the parent counts but never folds into the judge.
@@ -399,17 +398,18 @@ def shmem_session_run_worker(program, config, index, session_deadline,
 # -- parent side --------------------------------------------------------------
 
 
-class ShmemPoolRunExecutor(ProcessPoolRunExecutor):
+class ShmemPoolTransport(ProcessPoolTransport):
     """Process pool with the shared-memory prefix-cancel fast path.
 
     Identical streaming contract to the base pool; additionally, while
     futures are in flight the parent polls the exchange every
-    :attr:`poll_interval_s`, folds published prefixes into a
-    :class:`PrefixJudge`, and — when *cancel_enabled* — raises cancel
-    flags for in-flight runs above the divergence floor and revokes
-    unstarted ones.  Cancelled runs are reconciled before the stream
-    ends (see the module docstring), so the folded record set matches
-    the serial backend's exactly.
+    :attr:`poll_interval_s` (the loop's wait times out at that
+    cadence), folds published prefixes into a :class:`PrefixJudge`,
+    and — when *cancel_enabled* — raises cancel flags for in-flight
+    runs above the divergence floor and revokes unstarted ones.
+    Cancelled runs are reconciled before the batch ends (see the module
+    docstring), so the folded record set matches the serial backend's
+    exactly.
     """
 
     name = "process-pool-shmem"
@@ -439,7 +439,7 @@ class ShmemPoolRunExecutor(ProcessPoolRunExecutor):
 
     # -- pool construction ---------------------------------------------------
 
-    def _make_pool(self, ctx, n_tasks: int, initargs):
+    def _make_pool(self, n_tasks: int):
         if self.exchange is None:
             # Lanes outlive pool rebuilds: size for every worker any
             # recovery tier may spawn, plus slack for isolation pools.
@@ -447,24 +447,24 @@ class ShmemPoolRunExecutor(ProcessPoolRunExecutor):
             n_lanes = workers * (self.max_pool_rebuilds + 1) + 4
             self.exchange = CheckpointExchange(
                 RingLayout(n_lanes=n_lanes, slots=self.slots))
-            self._lane_counter = ctx.Value("l", 0)
-        heartbeat = initargs[0] if initargs else None
+            self._lane_counter = self._ctx.Value("l", 0)
+        heartbeat = self._initargs[0] if self._initargs else None
         return ProcessPoolExecutor(
             max_workers=max(1, min(self.n_workers, n_tasks)),
-            mp_context=ctx, initializer=_shmem_worker_init,
+            mp_context=self._ctx, initializer=_shmem_worker_init,
             initargs=(self.exchange.name, self.exchange.layout,
                       self._lane_counter, heartbeat))
 
-    def stream(self, tasks: dict):
+    async def close(self) -> None:
         try:
-            yield from super().stream(tasks)
+            await super().close()
         finally:
             self._report_streamed()
             if self.exchange is not None:
                 self.exchange.close()
                 self.exchange = None
 
-    # -- the polling hooks (called by the base stream loop) ------------------
+    # -- the polling hooks (called by the base pool's wait loop) -------------
 
     def _poll_interval_s(self) -> float | None:
         return self.poll_interval_s if self.exchange is not None else None
@@ -491,10 +491,7 @@ class ShmemPoolRunExecutor(ProcessPoolRunExecutor):
             return
         # Revoke unstarted runs above the floor (remembered: they are
         # resubmitted if reconciliation breaks the floor's premise).
-        for future, index in list(self._pending.items()):
-            if index > floor and future.cancel():
-                del self._pending[future]
-                self._speculative.add(index)
+        self._speculative.update(self._revoke(floor))
         # Flag in-flight runs above the floor; stale flags for resolved
         # runs are inert (the flag carries the run index).
         for lane, snap in snaps:
@@ -517,11 +514,11 @@ class ShmemPoolRunExecutor(ProcessPoolRunExecutor):
             candidates.append(self._hard_floor)
         return min(candidates, default=None)
 
-    def cancel(self, floor: int | None = None) -> None:
+    async def cancel(self, floor: int | None = None) -> None:
         if floor is not None:
             self._hard_floor = (floor if self._hard_floor is None
                                 else min(self._hard_floor, floor))
-        super().cancel(floor)
+        await super().cancel(floor)
         if self._cancel_enabled and self._hard_floor is not None:
             for lane, snap in self._sweep():
                 if (snap.run > self._hard_floor
@@ -593,5 +590,3 @@ class ShmemPoolRunExecutor(ProcessPoolRunExecutor):
             self.telemetry.registry.counter("checkpoints_streamed").inc(delta)
         self._streamed_reported = self.prefix.streamed
 
-
-EXECUTORS.register("process-pool-shmem", ShmemPoolRunExecutor)

@@ -1,23 +1,22 @@
-"""Transports: how the coordinator reaches workers, local or remote.
+"""Transports: the engine's one execution interface.
 
 A :class:`Transport` is the coordinator's only view of execution —
 submit a batch, await results in completion order, cancel with a
-divergence floor, close.  Three families implement it:
+divergence floor, close.  Four backends implement it:
 
-* :class:`ExecutorTransport` adapts any legacy
-  :class:`~repro.core.engine.executors.RunExecutor` (serial,
-  process-pool, process-pool-shmem) by driving its synchronous
-  ``stream()`` generator inline on the coordinator's private loop.
-  Inline is deliberate: nothing else is scheduled during a local
-  session, and a blocking ``next()`` in the main thread keeps the
-  SIGINT/SIGTERM contract exactly as it was — the signal raises inside
-  the generator frame, whose ``finally`` tears the pool down.
-* :class:`AsyncioLocalTransport` (``asyncio-local``) is the natively
-  asynchronous process pool: same worker functions, same FIFO
-  submission order, same two-tier crash recovery and verdicts
-  bit-identical to ``process-pool`` — but the scheduling loop awaits
-  futures instead of blocking on them, so it composes with transports
-  that live on the loop (the serve daemon's socket hub).
+* :class:`InlineTransport` (``serial``) runs each task inline, in
+  index order, on the coordinator's private loop.  Inline is
+  deliberate: nothing else is scheduled during a serial session, and a
+  shutdown signal raises inside the running task's frame.
+* :class:`ProcessPoolTransport` (``process-pool``) fans tasks across a
+  local process pool: FIFO submission in index order, cancel-with-floor
+  revoking only unstarted futures, deadline expiry abandoning in-flight
+  work, one pool rebuild then per-task isolation salvage.  The
+  scheduling loop awaits a completion queue, so it composes with
+  transports that live on the loop (the serve daemon's socket hub).
+* :class:`~repro.core.engine.shmem.ShmemPoolTransport`
+  (``process-pool-shmem``) is that pool plus the shared-memory
+  checkpoint exchange, polled on the loop.
 * :class:`~repro.core.engine.sockets.SocketTransport` (``socket``)
   dispatches the same task descriptors to ``repro worker`` processes
   over newline-delimited JSON frames — see docs/distributed.md.
@@ -29,17 +28,16 @@ import asyncio
 import collections
 import time
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+from concurrent.futures import TimeoutError as FuturesTimeoutError
 
 from repro.core.engine import heartbeat as _heartbeat
 from repro.core.engine.executors import CRASHED, _EXPIRED
 from repro.core.engine.heartbeat import _HEARTBEAT_QUEUE_SIZE, HeartbeatMonitor
-from repro.core.engine.pool import _run_isolated
 from repro.core.engine.tasks import _mp_context, _worker_init
 
 
 class Transport:
-    """The coordinator's execution interface (async counterpart of
-    :class:`~repro.core.engine.executors.RunExecutor`)."""
+    """The coordinator's execution interface."""
 
     name = "abstract"
 
@@ -47,6 +45,7 @@ class Transport:
         self.cancelled = False    # cancel() was issued mid-stream
         self.cancelled_count = 0  # tasks revoked before they started
         self.expired = False      # the deadline cut the stream short
+        self.aborted = False      # an exception unwound the batch
 
     async def start(self, tasks: dict) -> None:
         """Submit the whole batch, in index order."""
@@ -57,78 +56,125 @@ class Transport:
         raise NotImplementedError
 
     async def cancel(self, floor: int | None = None) -> None:
-        """Revoke unstarted work above *floor*; drain the rest."""
+        """Stop issuing new work; already-running work is drained.
+
+        *floor* is the lowest run index the caller knows to be
+        divergent: work at or below it must still complete for the
+        truncated verdict to stay bit-identical.
+        """
         self.cancelled = True
 
     async def close(self) -> None:
         """Tear down workers/connections; safe to call once, always."""
 
     def salvaged_checkpoints(self, index: int) -> int:
+        """Checkpoints known to have completed in a run that crashed.
+
+        The pickle-channel backends learn nothing from a dead worker;
+        the shmem backend reads the dead run's published lane prefix.
+        """
         return 0
 
 
-class ExecutorTransport(Transport):
-    """Adapter: a legacy ``RunExecutor`` behind the Transport interface.
+class InlineTransport(Transport):
+    """Run tasks inline, one at a time, in index order.
 
-    All state (cancelled/expired/counts) lives on the wrapped executor
-    so backend-specific semantics — the shmem reconciliation, the
-    pool's rebuild accounting — stay exactly where they were.
+    A task is a zero-argument callable; cancellation revokes every task
+    not yet started (the current one already returned — the engine
+    folds, then decides).
     """
 
-    def __init__(self, executor):
-        self.executor = executor
-        self._gen = None
+    name = "serial"
 
-    @property
-    def name(self):
-        return self.executor.name
-
-    @property
-    def cancelled(self):
-        return self.executor.cancelled
-
-    @property
-    def cancelled_count(self):
-        return self.executor.cancelled_count
-
-    @property
-    def expired(self):
-        return self.executor.expired
+    def __init__(self):
+        super().__init__()
+        self._tasks: dict = {}
+        self._queue: collections.deque = collections.deque()
 
     async def start(self, tasks: dict) -> None:
-        self._gen = self.executor.stream(tasks)
+        self._tasks = tasks
+        self._queue = collections.deque(sorted(tasks))
 
     async def next_result(self):
-        try:
-            return next(self._gen)
-        except StopIteration:
+        if not self._queue:
             return None
+        index = self._queue.popleft()
+        return index, self._tasks[index]()
 
     async def cancel(self, floor: int | None = None) -> None:
-        self.executor.cancel(floor=floor)
-
-    async def close(self) -> None:
-        gen, self._gen = self._gen, None
-        if gen is not None:
-            # Runs the generator's finally (pool shutdown) if the
-            # stream was abandoned mid-way; a no-op when exhausted.
-            gen.close()
-
-    def salvaged_checkpoints(self, index: int) -> int:
-        return self.executor.salvaged_checkpoints(index)
+        await super().cancel(floor)
+        self.cancelled_count += len(self._queue)
+        self._queue.clear()
 
 
-class AsyncioLocalTransport(Transport):
-    """A process pool scheduled with ``asyncio`` instead of blocking waits.
+def _run_isolated(task, executor, deadline):
+    """Run one ``(worker_fn, args)`` task alone in a fresh 1-worker pool.
 
-    Semantics mirror :class:`~repro.core.engine.pool.
-    ProcessPoolRunExecutor` exactly — FIFO submission in index order,
-    cancel-with-floor revoking only unstarted futures, deadline expiry
-    abandoning in-flight work, one pool rebuild then per-task isolation
-    salvage — so verdicts are bit-identical; only the waiting is async.
+    Used after a pool break: the parent cannot tell *which* worker died
+    (every in-flight future raises ``BrokenProcessPool``), so each
+    unresolved task is retried in isolation — the crasher reveals itself
+    by breaking its private pool, everything else completes normally.
+    The caller builds the pool, *executor*, with its backend's initializer.
+    """
+    value = _EXPIRED
+    worker_fn, args = task
+    try:
+        future = executor.submit(worker_fn, *args)
+        timeout = None
+        if deadline is not None:
+            timeout = max(0.0, deadline - time.monotonic())
+        try:
+            value = future.result(timeout=timeout)
+        except BrokenExecutor:
+            value = CRASHED
+        except (FuturesTimeoutError, TimeoutError):
+            value = _EXPIRED
+        return value
+    finally:
+        # Reap the worker unless it is stuck past the deadline — forked
+        # workers inherit parent fds (e.g. the journal's lock), so a
+        # lingering idle worker must not outlive this call.
+        executor.shutdown(wait=value is not _EXPIRED, cancel_futures=True)
+
+
+def _kill_workers(pool: ProcessPoolExecutor) -> None:
+    """Shut *pool* down without waiting, and terminate its workers.
+
+    Workers ignore SIGINT (:func:`~repro.core.engine.tasks._worker_init`)
+    and the interpreter's exit hook joins the pool's manager thread,
+    which waits for them — so an abandoned in-flight run would still
+    hold the exit hostage.  ``shutdown`` forgets the process table, so
+    it is taken first.
+    """
+    workers = list((pool._processes or {}).values())
+    pool.shutdown(wait=False, cancel_futures=True)
+    for process in workers:
+        process.terminate()
+
+
+class ProcessPoolTransport(Transport):
+    """Fan tasks across a local process pool, streaming completions.
+
+    A task is a ``(worker_fn, args)`` tuple; everything in *args* must
+    be picklable.  *deadline* is an absolute ``time.monotonic()`` value
+    (or None): on expiry the stream ends with :attr:`expired` set and
+    in-flight work is abandoned.  :meth:`cancel` is gentler — unstarted
+    futures are revoked, running ones are drained and still returned.
+    A worker process that dies (segfault analog, OOM kill, ``os._exit``)
+    breaks the pool; the pool is rebuilt once at full parallelism, and
+    if it breaks again each unresolved task is retried in an isolated
+    single-worker pool, so the crasher reveals itself and every
+    innocent task still completes.
     """
 
-    name = "asyncio-local"
+    name = "process-pool"
+
+    #: How many times a broken pool is rebuilt (workers respawned and
+    #: unresolved tasks requeued) before falling back to one-task
+    #: isolation pools.  One rebuild recovers the common case — a
+    #: single OOM-killed or segfaulted worker — at full parallelism; a
+    #: pool that breaks twice has a systematic crasher among its tasks,
+    #: and isolation is what attributes it.
     max_pool_rebuilds = 1
 
     def __init__(self, n_workers: int, deadline=None, telemetry=None,
@@ -137,7 +183,9 @@ class AsyncioLocalTransport(Transport):
         super().__init__()
         self.n_workers = n_workers
         self.deadline = deadline
-        self.pool_rebuilds = 0
+        self.pool_rebuilds = 0  # broken-pool recoveries this batch
+        # Heartbeats ride on telemetry: without an enabled session there
+        # is nowhere to report liveness, so no queue/monitor is set up.
         self.telemetry = (telemetry
                           if telemetry is not None and telemetry.enabled
                           else None)
@@ -147,16 +195,20 @@ class AsyncioLocalTransport(Transport):
         self.stall_after_s = stall_after_s
         self.monitor: HeartbeatMonitor | None = None
         self._tasks: dict = {}
-        self._pending: dict = {}  # asyncio future -> (concurrent future, index)
-        self._completions = asyncio.Queue()  # done futures, see _next
+        self._pending: dict = {}  # future -> run index
+        self._completions = asyncio.Queue()  # done futures, see next_result
+        self._loop = None
         self._ready: collections.deque = collections.deque()
-        self._salvage: list = []
+        self._salvage: list = []      # indexes awaiting an isolation pool
+        self._isolating = False       # the rebuilt pool broke too
+        self._isolation: ProcessPoolExecutor | None = None
         self._rebuilds_left = self.max_pool_rebuilds
         self._pool: ProcessPoolExecutor | None = None
         self._ctx = None
         self._initargs = ()
 
     def _start_heartbeats(self) -> tuple:
+        """Arm the heartbeat channel; returns the worker initargs."""
         if self.telemetry is None:
             return ()
         beat_queue = self._ctx.Queue(maxsize=_HEARTBEAT_QUEUE_SIZE)
@@ -171,17 +223,56 @@ class AsyncioLocalTransport(Transport):
             mp_context=self._ctx, initializer=_worker_init,
             initargs=self._initargs)
 
+    # -- subclass hooks (no-ops on the plain pickle-channel pool) ------------
+
+    def _poll_interval_s(self) -> float | None:
+        """Cap on each wait so _on_wait_tick runs at that cadence."""
+        return None
+
+    def _on_wait_tick(self) -> None:
+        """Called after every wakeup of the wait, timeout or not."""
+
+    def _note_result(self, index: int, value):
+        """Observe (and possibly rewrite) a task result before it is
+        returned."""
+        return value
+
+    def _requeue_indexes(self):
+        """Indexes to resubmit once the pool drains (reconciliation)."""
+        return ()
+
+    # -- the batch -----------------------------------------------------------
+
     def _submit(self, index: int) -> None:
         worker_fn, args = self._tasks[index]
-        cf = self._pool.submit(worker_fn, *args)
-        af = asyncio.wrap_future(cf)
-        self._pending[af] = (cf, index)
-        af.add_done_callback(self._completions.put_nowait)
+        future = self._pool.submit(worker_fn, *args)
+        self._pending[future] = index
+        future.add_done_callback(self._on_done)
+
+    def _on_done(self, future) -> None:
+        # Runs on the pool's manager thread.
+        try:
+            self._loop.call_soon_threadsafe(self._completions.put_nowait,
+                                            future)
+        except RuntimeError:
+            pass  # the loop closed: an abandoned future finished late
+
+    def _revoke(self, floor: int | None) -> list:
+        """Cancel unstarted futures above *floor*; the revoked indexes."""
+        revoked = []
+        for future, index in list(self._pending.items()):
+            if floor is not None and index <= floor:
+                continue  # needed below the divergence cutoff
+            if future.cancel():
+                revoked.append(index)
+                del self._pending[future]
+        return revoked
 
     async def start(self, tasks: dict) -> None:
         self._tasks = tasks
         if not tasks:
             return
+        self._loop = asyncio.get_running_loop()
         self._ctx = _mp_context()
         self._initargs = self._start_heartbeats()
         self._pool = self._make_pool(len(tasks))
@@ -192,70 +283,81 @@ class AsyncioLocalTransport(Transport):
 
     async def cancel(self, floor: int | None = None) -> None:
         await super().cancel(floor)
-        for af, (cf, index) in list(self._pending.items()):
-            if floor is not None and index <= floor:
-                continue
-            if cf.cancel():
-                self.cancelled_count += 1
-                del self._pending[af]
+        self.cancelled_count += len(self._revoke(floor))
 
     async def next_result(self):
-        try:
-            return await self._next()
-        except asyncio.CancelledError:
-            raise
-        except BaseException:
-            # A signal raised at the await point: never let close()
-            # block on a possibly-stuck worker the caller is escaping.
-            self.expired = True
-            raise
-
-    async def _next(self):
         while True:
             if self._ready:
                 return self._ready.popleft()
             if self._salvage:
                 return await self._salvage_next()
             if not self._pending:
-                return None
-            completions = self._completions
-            done = []
-            if completions.empty():
-                timeout = None
-                if self.deadline is not None:
-                    timeout = max(0.0, self.deadline - time.monotonic())
-                try:
-                    done.append(await asyncio.wait_for(completions.get(),
-                                                       timeout))
-                except asyncio.TimeoutError:
-                    # Deadline expiry: stop waiting; running workers hit
-                    # their own deadline poll, close() abandons them.
+                requeue = sorted(self._requeue_indexes())
+                if not requeue:
+                    return None
+                if self._isolating:
+                    self._salvage = requeue
+                else:
+                    for index in requeue:
+                        self._submit(index)
+                continue
+            done = await self._wait()
+            self._on_wait_tick()
+            if not done:
+                if (self.deadline is not None
+                        and time.monotonic() >= self.deadline):
+                    # Session deadline: stop waiting; running workers
+                    # hit their own deadline poll, close() abandons them.
                     self.expired = True
                     return None
-            while not completions.empty():
-                done.append(completions.get_nowait())
+                continue  # a poll tick, not an expiry
             unresolved = []
-            for af in done:
+            for future in done:
                 # Skip revoked futures and those of a broken pool.
-                entry = self._pending.pop(af, None)
-                if entry is None:
+                index = self._pending.pop(future, None)
+                if index is None or future.cancelled():
                     continue
-                cf, index = entry
-                if cf.cancelled():
-                    continue
-                exc = cf.exception()
+                exc = future.exception()
                 if exc is not None:
                     if isinstance(exc, BrokenExecutor):
                         unresolved.append(index)
                         continue
                     raise exc
-                self._ready.append((index, cf.result()))
+                self._ready.append((index, self._note_result(
+                    index, future.result())))
             if unresolved:
                 self._recover(unresolved)
 
+    async def _wait(self) -> list:
+        """Block until a future completes, the deadline passes or the
+        poll tick is due; then take every completion already queued."""
+        completions = self._completions
+        done = []
+        if completions.empty():
+            timeout = None
+            if self.deadline is not None:
+                timeout = max(0.0, self.deadline - time.monotonic())
+            poll_s = self._poll_interval_s()
+            if poll_s is not None:
+                timeout = poll_s if timeout is None else min(timeout, poll_s)
+            try:
+                done.append(await asyncio.wait_for(completions.get(),
+                                                   timeout))
+            except asyncio.TimeoutError:
+                return done
+        while not completions.empty():
+            done.append(completions.get_nowait())
+        return done
+
     def _recover(self, unresolved: list) -> None:
-        """The pool broke: rebuild once, then fall back to isolation."""
-        unresolved.extend(index for _cf, index in self._pending.values())
+        """The pool broke: rebuild once, then fall back to isolation.
+
+        Every in-flight future is doomed with the pool.  Cancellation is
+        ignored from here on purpose: runs below a folded divergence
+        must complete for the truncated verdict to stay bit-identical
+        to the serial path.
+        """
+        unresolved.extend(self._pending.values())
         self._pending.clear()
         self._pool.shutdown(wait=False, cancel_futures=True)
         if self._rebuilds_left > 0:
@@ -270,6 +372,7 @@ class AsyncioLocalTransport(Transport):
             for index in sorted(unresolved):
                 self._submit(index)
         else:
+            self._isolating = True
             self._salvage = sorted(unresolved)
 
     async def _salvage_next(self):
@@ -279,20 +382,28 @@ class AsyncioLocalTransport(Transport):
             self.expired = True
             self._salvage = []
             return None
+        self._isolation = self._make_pool(1)
         value = await asyncio.to_thread(_run_isolated, self._tasks[index],
-                                        self._make_pool(1), self.deadline)
+                                        self._isolation, self.deadline)
+        self._isolation = None
         if value is _EXPIRED:
             self.expired = True
             self._salvage = []
             return None
-        return index, value
+        return index, self._note_result(index, value)
 
     async def close(self) -> None:
-        if self._pool is not None:
+        if self.aborted:
+            # Never wait on a possibly-stuck worker the caller is
+            # escaping (a shutdown signal, a cancelled coordinator).
+            for pool in (self._pool, self._isolation):
+                if pool is not None:
+                    _kill_workers(pool)
+        elif self._pool is not None:
             # Normal finish: reap workers (forked workers inherit
-            # parent fds).  Expiry/abnormal exit: abandon them.
+            # parent fds).  Expiry: abandon them.
             self._pool.shutdown(wait=not self.expired, cancel_futures=True)
-            self._pool = None
+        self._pool = self._isolation = None
         if self.monitor is not None:
             self.monitor.stop()
             self.monitor = None

@@ -95,19 +95,19 @@ CATALOG: dict = {
         "campaign journal durability fsync (journal.py)"),
     "worker.run.before": (
         ("kill", "sleep"),
-        "pool worker, before executing one scheduled run (executors.py)"),
+        "pool worker, before executing one scheduled run (tasks.py)"),
     "worker.run.after": (
         ("kill", "sleep"),
-        "pool worker, after executing one scheduled run (executors.py)"),
+        "pool worker, after executing one scheduled run (tasks.py)"),
     "worker.run.checkpoint": (
         ("kill", "sleep"),
         "shmem pool worker, at each published checkpoint (shmem.py)"),
     "worker.input.before": (
         ("kill", "sleep"),
-        "campaign pool worker, before checking one input (executors.py)"),
+        "campaign pool worker, before checking one input (tasks.py)"),
     "worker.input.after": (
         ("kill", "sleep"),
-        "campaign pool worker, after checking one input (executors.py)"),
+        "campaign pool worker, after checking one input (tasks.py)"),
     "telemetry.sink.emit": (
         ("raise",),
         "JSONL telemetry sink write (sinks.py)"),

@@ -33,7 +33,7 @@ from repro.core import failpoints
 from repro.telemetry.export import render_prometheus
 
 #: Staleness (seconds) past which /healthz reports a worker as stalled.
-#: Mirrors the engine's default in repro.core.engine.executors.
+#: Mirrors the engine's default in repro.core.engine.heartbeat.
 DEFAULT_STALL_S = 5.0
 
 

@@ -134,9 +134,9 @@ def test_records_kept(fig1):
 def test_empty_point_list_is_not_deterministic():
     """Regression: a session with zero comparable checkpoints must not
     silently read as deterministic — it proved nothing."""
-    from repro.core.checker.runner import _make_verdict
+    from repro.core.engine.judge import make_verdict
 
-    verdict = _make_verdict("main", False, [], [(), ()], 2)
+    verdict = make_verdict("main", False, [], [(), ()], 2)
     assert not verdict.deterministic
     assert not verdict.det_at_end
     assert verdict.n_det_points == 0

@@ -121,13 +121,13 @@ def test_classification_parity_across_backends(fault, expected):
     serial = check_determinism(make_fault(fault), CheckConfig(runs=6))
     pooled = check_determinism(make_fault(fault),
                                CheckConfig(runs=6, workers=2))
-    local = check_determinism(
+    explicit = check_determinism(
         make_fault(fault),
-        CheckConfig(runs=6, workers=2, executor="asyncio-local"))
+        CheckConfig(runs=6, workers=2, executor="process-pool"))
     assert serial.outcome == expected
     assert pooled.outcome == expected
-    assert local.outcome == expected
-    assert _canonical(serial) == _canonical(pooled) == _canonical(local)
+    assert explicit.outcome == expected
+    assert _canonical(serial) == _canonical(pooled) == _canonical(explicit)
 
 
 # -- judge: order independence -------------------------------------------------
@@ -223,22 +223,22 @@ def test_stop_on_first_pool_matches_serial_verdict():
     assert _canonical(serial) == _canonical(pooled)
 
 
-def test_stop_on_first_asyncio_local_matches_serial_and_announces():
-    """The natively-async local pool honours the same judge-driven
-    cancel contract as the legacy pool, under its own backend name."""
+def test_stop_on_first_explicit_process_pool_matches_serial_and_announces():
+    """An explicitly named pool honours the judge-driven cancel contract
+    under its own backend name, whatever $REPRO_EXECUTOR says."""
     tele = Telemetry(MemorySink())
     serial = check_determinism(RacyProgram(),
                                CheckConfig(runs=12, stop_on_first=True))
-    local = check_determinism(
+    pooled = check_determinism(
         RacyProgram(),
         CheckConfig(runs=12, stop_on_first=True, workers=2,
-                    executor="asyncio-local"),
+                    executor="process-pool"),
         telemetry=tele)
-    assert _canonical(serial) == _canonical(local)
+    assert _canonical(serial) == _canonical(pooled)
     events = [e for e in tele.sink.events
               if e.get("t") == "event" and e["name"] == "session_cancelled"]
     assert len(events) == 1
-    assert events[0]["backend"] == "asyncio-local"
+    assert events[0]["backend"] == "process-pool"
     assert tele.registry.snapshot()["counters"]["sessions_cancelled"] == 1
 
 

@@ -1,5 +1,6 @@
 """Tests for worker heartbeats and the parent-side HeartbeatMonitor."""
 
+import asyncio
 import multiprocessing
 import os
 import signal
@@ -9,8 +10,8 @@ import time
 import pytest
 
 from repro.core.checker.runner import check_determinism
-from repro.core.engine.executors import (HeartbeatMonitor,
-                                         ProcessPoolRunExecutor)
+from repro.core.engine.heartbeat import HeartbeatMonitor
+from repro.core.engine.transports import ProcessPoolTransport
 from repro.telemetry import MemorySink, Telemetry
 
 from _programs import Fig1Program
@@ -147,15 +148,26 @@ class TestPoolIntegration:
         assert beat_counters
 
     def test_disabled_telemetry_arms_no_heartbeat_channel(self):
-        executor = ProcessPoolRunExecutor(2, telemetry=Telemetry())
-        assert executor.telemetry is None
-        assert executor._start_heartbeats(None) == ()
-        assert executor.monitor is None
+        transport = ProcessPoolTransport(2, telemetry=Telemetry())
+        assert transport.telemetry is None
+        assert transport._start_heartbeats() == ()
+        assert transport.monitor is None
 
 
 def _slow_task(duration: float) -> int:
     time.sleep(duration)
     return os.getpid()
+
+
+async def _results(transport, tasks) -> dict:
+    await transport.start(tasks)
+    out = {}
+    try:
+        while (item := await transport.next_result()) is not None:
+            out[item[0]] = item[1]
+    finally:
+        await transport.close()
+    return out
 
 
 @pytest.mark.skipif(not hasattr(signal, "SIGSTOP"),
@@ -164,9 +176,9 @@ class TestStallDetection:
     def test_sigstopped_worker_reports_stalled_without_breaking_result(self):
         sink = MemorySink()
         tele = Telemetry(sink)
-        executor = ProcessPoolRunExecutor(1, telemetry=tele,
-                                          heartbeat_interval_s=0.05,
-                                          stall_after_s=0.4)
+        transport = ProcessPoolTransport(1, telemetry=tele,
+                                         heartbeat_interval_s=0.05,
+                                         stall_after_s=0.4)
         stopped = {}
 
         def freeze_and_thaw():
@@ -189,7 +201,7 @@ class TestStallDetection:
 
         saboteur = threading.Thread(target=freeze_and_thaw)
         saboteur.start()
-        results = dict(executor.stream({0: (_slow_task, (2.0,))}))
+        results = asyncio.run(_results(transport, {0: (_slow_task, (2.0,))}))
         saboteur.join(timeout=15)
         # The task's result is intact despite the freeze...
         assert results[0] == stopped["pid"]

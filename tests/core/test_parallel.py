@@ -1,4 +1,4 @@
-"""Tests for the parallel execution engine (`repro.core.checker.parallel`).
+"""Tests for the parallel execution engine (`repro.core.engine`).
 
 The contract under test: any session or campaign run with ``workers > 1``
 produces results *bit-identical* to the serial path — same verdicts,
@@ -15,11 +15,11 @@ from dataclasses import replace
 import pytest
 
 from repro.core.checker.campaign import InputPoint, run_campaign
-from repro.core.checker.parallel import resolve_workers
 from repro.core.checker.runner import (OUTCOME_CRASH_DIVERGENCE,
                                        OUTCOME_INCOMPLETE, CheckConfig,
                                        check_determinism)
 from repro.core.checker.serialize import result_to_dict
+from repro.core.engine import resolve_workers
 from repro.errors import CheckerError, WorkerCrashError
 from repro.telemetry import MemorySink, Telemetry
 from repro.workloads import make

@@ -1,12 +1,13 @@
-"""The local pools' wait loop: per-task cost flat in the batch size.
+"""The local pool's wait loop: per-task cost flat in the batch size.
 
-Both local pools (``process-pool`` through its ``stream()`` generator,
-``asyncio-local`` through the coordinator's transport interface) must
-register O(1) completion callbacks per submitted task, never a waiter
-on every pending future at every wakeup.  The other tests here pin the
-loop's contract that the completion queue must keep: the shmem poll
-tick fires while nothing completes, a revoked future's late callback
-is skipped and counted once, and a deadline cuts in-flight work short.
+Both local pools (``process-pool``, the asyncio pool once named
+``asyncio-local``, and its ``process-pool-shmem`` subclass, which adds
+a poll tick to the same loop) must register O(1) completion callbacks
+per submitted task, never a waiter on every pending future at every
+wakeup.  The other tests here pin the loop's contract that the
+completion queue must keep on both pools: the shmem poll tick fires
+while nothing completes, a revoked future's late callback is skipped
+and counted once, and a deadline cuts in-flight work short.
 """
 
 import asyncio
@@ -16,9 +17,8 @@ from concurrent.futures import _base as futures_base
 
 import pytest
 
-from repro.core.engine.pool import ProcessPoolRunExecutor
-from repro.core.engine.shmem import ShmemPoolRunExecutor
-from repro.core.engine.transports import AsyncioLocalTransport
+from repro.core.engine.shmem import ShmemPoolTransport
+from repro.core.engine.transports import ProcessPoolTransport
 
 
 def _nap(index, seconds):
@@ -81,15 +81,16 @@ N_TASKS = 150
 def test_pool_stream_registers_linear_callbacks(registrations):
     # Tasks that finish a few ms apart wake the parent once per few
     # completions while ~N futures are pending: a per-wakeup waiter on
-    # every pending future makes this O(N^2).
-    executor = ProcessPoolRunExecutor(n_workers=2)
-    results = dict(executor.stream(_tasks(N_TASKS, 0.002)))
+    # every pending future makes this O(N^2).  The shmem pool's poll
+    # tick wakes the loop on top of that and must add no waiters.
+    transport = ShmemPoolTransport(n_workers=2, poll_interval_s=0.001)
+    results = dict(asyncio.run(_drain(transport, _tasks(N_TASKS, 0.002))))
     assert results == {i: i for i in range(N_TASKS)}
     assert registrations[0] <= 2 * N_TASKS
 
 
 def test_asyncio_local_registers_linear_callbacks(registrations):
-    transport = AsyncioLocalTransport(n_workers=2)
+    transport = ProcessPoolTransport(n_workers=2)
     results = dict(asyncio.run(_drain(transport, _tasks(N_TASKS, 0.002))))
     assert results == {i: i for i in range(N_TASKS)}
     assert registrations[0] <= 2 * N_TASKS
@@ -97,43 +98,25 @@ def test_asyncio_local_registers_linear_callbacks(registrations):
 
 def test_shmem_poll_tick_fires_while_nothing_completes():
     ticks = []
+    ticks_before_completion = []
 
-    class Counting(ShmemPoolRunExecutor):
+    class Counting(ShmemPoolTransport):
         def _on_wait_tick(self):
             ticks.append(time.monotonic())
             super()._on_wait_tick()
 
-    executor = Counting(n_workers=1, poll_interval_s=0.02)
-    stream = executor.stream(_tasks(1, 0.4))
-    index, value = next(stream)
-    ticks_before_completion = len(ticks)
-    assert list(stream) == []
-    assert (index, value) == (0, 0)
+    async def note_ticks(_transport):
+        ticks_before_completion.append(len(ticks))
+
+    transport = Counting(n_workers=1, poll_interval_s=0.02)
+    results = asyncio.run(_drain(transport, _tasks(1, 0.4),
+                                 on_first=note_ticks))
+    assert results == [(0, 0)]
     # ~20 ticks at a 20 ms cadence over a 0.4 s task; allow a slow host.
-    assert ticks_before_completion >= 3
+    assert ticks_before_completion[0] >= 3
 
 
-def test_pool_cancel_floor_skips_late_callbacks_and_counts_once():
-    executor = ProcessPoolRunExecutor(n_workers=1)
-    tasks = {0: (_nap, (0, 0.2))}
-    tasks.update({i: (_nap, (i, 0.0)) for i in range(1, 20)})
-    stream = executor.stream(tasks)
-    results = [next(stream)]
-    executor.cancel(floor=0)
-    revoked = executor.cancelled_count
-    executor.cancel(floor=0)  # nothing left to revoke
-    results.extend(stream)    # the revoked futures' callbacks arrive here
-    indexes = [index for index, _value in results]
-    assert results[0] == (0, 0)
-    assert len(indexes) == len(set(indexes))
-    assert revoked > 0
-    assert executor.cancelled_count == revoked
-    assert len(indexes) + revoked == len(tasks)
-    assert not executor.expired
-
-
-def test_asyncio_local_cancel_floor_skips_late_callbacks_and_counts_once():
-    transport = AsyncioLocalTransport(n_workers=1)
+def _check_cancel_floor_counts_once(transport):
     tasks = {0: (_nap, (0, 0.2))}
     tasks.update({i: (_nap, (i, 0.0)) for i in range(1, 20)})
     revoked = []
@@ -141,8 +124,9 @@ def test_asyncio_local_cancel_floor_skips_late_callbacks_and_counts_once():
     async def cancel_twice(t):
         await t.cancel(floor=0)
         revoked.append(t.cancelled_count)
-        await t.cancel(floor=0)
+        await t.cancel(floor=0)  # nothing left to revoke
 
+    # The revoked futures' callbacks still arrive on the queue.
     results = asyncio.run(_drain(transport, tasks, on_first=cancel_twice))
     indexes = [index for index, _value in results]
     assert results[0] == (0, 0)
@@ -153,19 +137,28 @@ def test_asyncio_local_cancel_floor_skips_late_callbacks_and_counts_once():
     assert not transport.expired
 
 
-def test_pool_deadline_expires_with_tasks_in_flight():
-    started = time.monotonic()
-    executor = ProcessPoolRunExecutor(n_workers=1, deadline=started + 0.3)
-    results = list(executor.stream(_tasks(2, 1.5)))
-    assert results == []
-    assert executor.expired
-    assert time.monotonic() - started < 1.5
+def test_pool_cancel_floor_skips_late_callbacks_and_counts_once():
+    _check_cancel_floor_counts_once(ShmemPoolTransport(n_workers=1))
 
 
-def test_asyncio_local_deadline_expires_with_tasks_in_flight():
+def test_asyncio_local_cancel_floor_skips_late_callbacks_and_counts_once():
+    _check_cancel_floor_counts_once(ProcessPoolTransport(n_workers=1))
+
+
+def _check_deadline_expires_in_flight(make_transport):
     started = time.monotonic()
-    transport = AsyncioLocalTransport(n_workers=1, deadline=started + 0.3)
+    transport = make_transport(deadline=started + 0.3)
     results = asyncio.run(_drain(transport, _tasks(2, 1.5)))
     assert results == []
     assert transport.expired
     assert time.monotonic() - started < 1.5
+
+
+def test_pool_deadline_expires_with_tasks_in_flight():
+    _check_deadline_expires_in_flight(
+        lambda deadline: ShmemPoolTransport(n_workers=1, deadline=deadline))
+
+
+def test_asyncio_local_deadline_expires_with_tasks_in_flight():
+    _check_deadline_expires_in_flight(
+        lambda deadline: ProcessPoolTransport(n_workers=1, deadline=deadline))

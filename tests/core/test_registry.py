@@ -90,7 +90,7 @@ def test_self_check_resolves_every_name():
     assert ("memory-models", "tso") in resolved
     assert ("memory-models", "pso") in resolved
     assert ("executors", "serial") in resolved
-    assert ("executors", "asyncio-local") in resolved
+    assert ("executors", "process-pool-shmem") in resolved
     assert ("executors", "socket") in resolved
     assert len(resolved) >= 35
 
@@ -98,8 +98,7 @@ def test_self_check_resolves_every_name():
 def test_executors_registry_covers_every_transport():
     catalog = all_registries()
     assert set(catalog["executors"]) == {"serial", "process-pool",
-                                         "process-pool-shmem",
-                                         "asyncio-local", "socket"}
+                                         "process-pool-shmem", "socket"}
 
 
 def test_memory_models_registry_in_catalog():

@@ -60,6 +60,28 @@ def test_signal_mid_campaign_shuts_down_cleanly(tmp_path, sig, name):
     assert all("SessionInterrupted" not in json.dumps(r) for r in records)
 
 
+@pytest.mark.parametrize("executor", ["process-pool", "process-pool-shmem"])
+def test_signal_mid_pool_session_does_not_wait_for_runs_in_flight(executor):
+    # Each worker's second run sleeps 20 s, so the signal lands while
+    # both workers are busy: the parent must kill them, not wait them out.
+    env = _env()
+    env["REPRO_FAILPOINTS"] = "worker.run.before=sleep:20@at:2"
+    argv = [sys.executable, "-m", "repro", "check", "canneal",
+            "--runs", "40", "--workers", "2", "--executor", executor]
+    proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True)
+    time.sleep(3.0)
+    proc.send_signal(signal.SIGINT)
+    signalled = time.monotonic()
+    stdout, stderr = proc.communicate(timeout=60)
+    exit_s = time.monotonic() - signalled
+    assert proc.returncode == 2, (stdout, stderr)
+    assert "shut down cleanly" in stderr
+    assert "Traceback (most recent call last)" not in stderr
+    assert "Traceback (most recent call last)" not in stdout
+    assert exit_s < 5.0, stderr
+
+
 # -- repro serve: the daemon honours the same contract -------------------------
 
 

@@ -4,7 +4,7 @@ One in-process :class:`WorkerHub` (installed as the ambient hub, the
 way ``repro serve`` does it) and two genuine ``repro worker``
 subprocesses on loopback.  Everything the ISSUE's acceptance gate asks
 for runs here: byte-identical verdicts against serial and the
-asyncio-local pool, ``stop_on_first`` truncation identity, and the
+local process pool, ``stop_on_first`` truncation identity, and the
 requeue path — a worker SIGKILLed mid-batch (via the failpoint
 harness) must not change the verdict by a single byte.
 """
@@ -86,11 +86,11 @@ def fleet():
 # -- bit-identity across coordinator transports --------------------------------
 
 
-def test_socket_session_bit_identical_to_serial_and_asyncio_local(fleet):
+def test_socket_session_bit_identical_to_serial_and_process_pool(fleet):
     serial = check_determinism(make("fft"), CheckConfig(runs=6))
     local = check_determinism(
         make("fft"), CheckConfig(runs=6, workers=2,
-                                 executor="asyncio-local"))
+                                 executor="process-pool"))
     socketed = check_determinism(
         make("fft"), CheckConfig(runs=6, workers=2, executor="socket"))
     assert _canonical(serial) == _canonical(local) == _canonical(socketed)
