@@ -51,10 +51,6 @@ import json
 import signal
 import sys
 
-from repro.analysis.figures import render_figure5, render_figure6
-from repro.analysis.overhead import figure6
-from repro.analysis.tables import (render_table1, render_table1_comparison,
-                                   render_table2)
 from repro.core.checker.distribution import format_groups
 from repro.core.checker.localize import localize
 from repro.core.checker.policies import RetryPolicy
@@ -612,6 +608,8 @@ def _cmd_check(args, out) -> int:
 
 
 def _cmd_characterize(args, out) -> int:
+    from repro.analysis.tables import render_table1
+
     plane = _open_plane(args)
     try:
         row = characterize(make(args.app), runs=args.runs,
@@ -850,6 +848,9 @@ def _cmd_localize(args, out) -> int:
 
 
 def _cmd_table1(args, out) -> int:
+    from repro.analysis.tables import (render_table1,
+                                       render_table1_comparison)
+
     names = args.apps or list(REGISTRY)
     rows = [characterize(make(name), runs=args.runs) for name in names]
     print(render_table1(rows), file=out)
@@ -859,6 +860,8 @@ def _cmd_table1(args, out) -> int:
 
 
 def _cmd_table2(args, out) -> int:
+    from repro.analysis.tables import render_table2
+
     verdicts = {}
     for app, _bug in SEEDED_BUGS:
         result = check_determinism(
@@ -871,6 +874,8 @@ def _cmd_table2(args, out) -> int:
 
 
 def _cmd_fig5(args, out) -> int:
+    from repro.analysis.figures import render_figure5
+
     verdicts = {}
     for app in args.apps:
         result = check_determinism(
@@ -882,12 +887,17 @@ def _cmd_fig5(args, out) -> int:
 
 
 def _cmd_fig6(args, out) -> int:
+    from repro.analysis.figures import render_figure6
+    from repro.analysis.overhead import figure6
+
     rows = figure6([make(name) for name in REGISTRY])
     print(render_figure6(rows), file=out)
     return 0
 
 
 def _cmd_fig8(args, out) -> int:
+    from repro.analysis.figures import render_figure5
+
     verdicts = {}
     for app, _bug in SEEDED_BUGS:
         result = check_determinism(

@@ -13,7 +13,10 @@ sessions, campaigns — is one instantiation of the same pipeline:
   with the shared-memory checkpoint exchange, ``process-pool-shmem``),
   or the socket worker fleet (``socket``, docs/distributed.md) —
   streaming completed runs back in completion order behind one
-  interface;
+  interface.  A session imports only the backend it runs: the
+  shared-memory and socket modules load when that backend is chosen
+  (``ShmemPoolTransport``, ``SocketTransport`` and ``WorkerHub`` are
+  re-exported here lazily);
 * an incremental :class:`~repro.core.engine.judge.Judge` folds each
   run's checkpoint-hash sequence into the verdict as it arrives and can
   issue a cancel signal — ``stop_on_first`` cancels outstanding work
@@ -26,8 +29,6 @@ verdicts are unchanged.  See docs/architecture.md.
 
 from repro.core.engine.coordinator import Coordinator, Feedback, coordinate
 from repro.core.engine.executors import resolve_workers
-from repro.core.engine.shmem import ShmemPoolTransport
-from repro.core.engine.sockets import SocketTransport, WorkerHub
 from repro.core.engine.transports import (InlineTransport,
                                           ProcessPoolTransport, Transport)
 from repro.core.engine.judge import (Judge, first_divergent_run, make_verdict,
@@ -57,3 +58,19 @@ __all__ = [
     "ProcessPoolTransport", "ShmemPoolTransport", "SocketTransport",
     "WorkerHub",
 ]
+
+#: Re-exports whose modules load on first access (module ``__getattr__``).
+_DEFERRED = {
+    "ShmemPoolTransport": "repro.core.engine.shmem",
+    "SocketTransport": "repro.core.engine.sockets",
+    "WorkerHub": "repro.core.engine.sockets",
+}
+
+
+def __getattr__(name):
+    module = _DEFERRED.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    return getattr(importlib.import_module(module), name)

@@ -48,11 +48,20 @@ def resolve_workers(workers) -> int:
     return workers
 
 
-#: The executor-backend registry (the 9th catalog family), filled at
-#: the bottom of this module so the catalog is complete whenever
-#: executors are loadable.
+#: The executor-backend registry (the 9th catalog family).  Each
+#: backend's module is imported when its name is first looked up, not
+#: with this module: a serial session never loads the shared-memory or
+#: socket code.  Registration order is the listing order.
 EXECUTORS = Registry("executors", error=CheckerError,
                      what="executor backend")
+EXECUTORS.register_deferred(
+    "serial", "repro.core.engine.transports:InlineTransport")
+EXECUTORS.register_deferred(
+    "process-pool", "repro.core.engine.transports:ProcessPoolTransport")
+EXECUTORS.register_deferred(
+    "process-pool-shmem", "repro.core.engine.shmem:ShmemPoolTransport")
+EXECUTORS.register_deferred(
+    "socket", "repro.core.engine.sockets:SocketTransport")
 
 #: Environment override consulted by :func:`resolve_executor` for
 #: configs left on ``executor="auto"``: the preferred *pool* backend.
@@ -89,19 +98,3 @@ def resolve_executor(name: str, n_workers: int) -> str:
         return env
     return "process-pool"
 
-
-# -- backend registration -----------------------------------------------------
-#
-# The backends import the sentinels above from this module, so they are
-# imported last (the package ``__init__`` loads this module first, which
-# resolves the cycles).  Registration order is the listing order.
-
-from repro.core.engine.transports import (  # noqa: E402
-    InlineTransport, ProcessPoolTransport)
-from repro.core.engine.shmem import ShmemPoolTransport  # noqa: E402
-from repro.core.engine.sockets import SocketTransport  # noqa: E402
-
-EXECUTORS.register("serial", InlineTransport)
-EXECUTORS.register("process-pool", ProcessPoolTransport)
-EXECUTORS.register("process-pool-shmem", ShmemPoolTransport)
-EXECUTORS.register("socket", SocketTransport)

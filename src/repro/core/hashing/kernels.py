@@ -15,15 +15,21 @@ Two interchangeable backends implement the same four operations:
   after ``rounding.apply``).  Always available.
 * :class:`NumpyKernel` — vectorized mod-2^64 arithmetic on ``uint64``
   arrays (NumPy wraps unsigned overflow, which *is* the group
-  operation).  Available when ``numpy`` is importable (the ``[fast]``
-  optional dependency).
+  operation).  Available when ``numpy`` is installed (the ``[fast]``
+  optional dependency).  Building an array costs more than hashing a
+  few words, so a batch shorter than :data:`_NUMPY_MIN_BATCH` takes the
+  :class:`PythonKernel` path even here; the result is the same value
+  either way.
 
 Backend selection: :func:`resolve_backend` honours an explicit name
 first, then the ``REPRO_HASH_BACKEND`` environment variable, then
-auto-detects (``numpy`` when importable, else ``python``).  The
-property-based suite in ``tests/core/test_kernels_properties.py``
-proves the backends bit-identical on adversarial inputs; the
-differential suite proves whole checking sessions agree.
+auto-detects (``numpy`` when installed, else ``python``).  Neither
+detection nor building a kernel imports numpy: :func:`load_numpy` does,
+on the first batch long enough to be vectorized, so a session whose
+batches are all short never loads it.  The property-based suite in
+``tests/core/test_kernels_properties.py`` proves the backends
+bit-identical on adversarial inputs; the differential suite proves
+whole checking sessions agree.
 
 Rounding semantics match the scalar datapath exactly: an ``fp``-flagged
 value is converted to ``float`` and rounded *before* hashing; all other
@@ -32,15 +38,16 @@ values hash their canonical 64-bit pattern (:func:`~repro.sim.values.value_bits`
 
 from __future__ import annotations
 
+import functools
+import importlib.util
 import os
 
 from repro.core.registry import Registry
 from repro.sim.values import MASK64, value_bits
 
-try:  # pragma: no cover - trivially covered by whichever env runs
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+#: The numpy module once :func:`load_numpy` has imported it.  Every
+#: vectorized body below runs after its caller called :func:`load_numpy`.
+_np = None
 
 #: Environment variable overriding the default backend choice.
 ENV_BACKEND = "REPRO_HASH_BACKEND"
@@ -48,19 +55,47 @@ ENV_BACKEND = "REPRO_HASH_BACKEND"
 #: The pseudo-backend name meaning "pick the fastest available".
 AUTO_BACKEND = "auto"
 
+#: The shortest batch :class:`NumpyKernel` vectorizes; shorter ones take
+#: the :class:`PythonKernel` path.  It is the smaller of the two built-in
+#: mixers' measured ``store_delta`` crossovers (``crc64`` ~8 stores,
+#: ``splitmix64`` ~12-32; docs/performance.md), so no batch of either
+#: mixer takes a slower path than vectorizing every batch did.
+_NUMPY_MIN_BATCH = 8
+
 #: Canonical quiet-NaN pattern, mirroring :func:`repro.sim.values.float_to_bits`.
 _QNAN_BITS = 0x7FF8000000000000
 
 #: Kernel classes by backend name.  Registration is unconditional —
 #: :func:`resolve_backend` decides availability (numpy may be registered
-#: yet unimportable), so error messages can distinguish "no such
+#: yet not installed), so error messages can distinguish "no such
 #: backend" from "backend not installed".
 HASH_BACKENDS = Registry("hash-backends", what="hash backend")
 
 
+@functools.cache
 def has_numpy() -> bool:
-    """Is the NumPy backend importable in this environment?"""
-    return _np is not None
+    """Is the NumPy backend installed?  Answers without importing numpy."""
+    return importlib.util.find_spec("numpy") is not None
+
+
+def load_numpy():
+    """The numpy module, imported on first use.
+
+    The one place the hashing package imports numpy: the kernels, the
+    mixers' batch hashes and the vectorized round-off unit all get it
+    from here, so nothing loads it before a batch needs it.
+    """
+    global _np
+    if _np is None:
+        import numpy
+        _np = numpy
+    return _np
+
+
+def _scalar(seq) -> bool:
+    """Does a batch over *seq* take the scalar path?  Python sequences
+    shorter than :data:`_NUMPY_MIN_BATCH` do; numpy arrays never do."""
+    return len(seq) < _NUMPY_MIN_BATCH and not hasattr(seq, "dtype")
 
 
 class HashKernel:
@@ -148,14 +183,18 @@ class PythonKernel(HashKernel):
 
 
 @HASH_BACKENDS.register("numpy")
-class NumpyKernel(HashKernel):
-    """Vectorized backend: uint64 wraparound is mod-2^64 arithmetic."""
+class NumpyKernel(PythonKernel):
+    """Vectorized backend: uint64 wraparound is mod-2^64 arithmetic.
+
+    Batches shorter than :data:`_NUMPY_MIN_BATCH` run the inherited
+    :class:`PythonKernel` operations, which are faster at that size.
+    """
 
     name = "numpy"
     vectorized = True
 
     def __init__(self):
-        if _np is None:  # pragma: no cover - guarded by the registry
+        if not has_numpy():  # pragma: no cover - guarded by the registry
             raise RuntimeError(
                 "numpy is not installed; install the [fast] extra or "
                 "select the 'python' hash backend")
@@ -239,20 +278,28 @@ class NumpyKernel(HashKernel):
 
     def location_terms(self, mixer, rounding, addresses, values,
                        fp_flags=None) -> list:
+        if _scalar(addresses):
+            return super().location_terms(mixer, rounding, addresses, values,
+                                          fp_flags)
+        load_numpy()
         return [int(t) for t in
                 self._term_array(mixer, rounding, addresses, values, fp_flags)]
 
     def fold_locations(self, mixer, rounding, addresses, values,
                        fp_flags=None) -> int:
-        if not len(addresses):
-            return 0
+        if _scalar(addresses):
+            return super().fold_locations(mixer, rounding, addresses, values,
+                                          fp_flags)
+        load_numpy()
         terms = self._term_array(mixer, rounding, addresses, values, fp_flags)
         return int(_np.add.reduce(terms, dtype=_np.uint64))
 
     def store_delta(self, mixer, rounding, addresses, old_values,
                     new_values, fp_flags=None) -> int:
-        if not len(addresses):
-            return 0
+        if _scalar(addresses):
+            return super().store_delta(mixer, rounding, addresses, old_values,
+                                       new_values, fp_flags)
+        load_numpy()
         addr = self._addr_array(addresses)
         delta = mixer.store_delta_batch(
             addr,
@@ -261,8 +308,9 @@ class NumpyKernel(HashKernel):
         return int(_np.add.reduce(delta, dtype=_np.uint64))
 
     def fold_terms(self, terms) -> int:
-        if not len(terms):
-            return 0
+        if _scalar(terms):
+            return super().fold_terms(terms)
+        load_numpy()
         arr = (terms if isinstance(terms, _np.ndarray)
                else _np.array([t & MASK64 for t in terms], dtype=_np.uint64))
         return int(_np.add.reduce(arr, dtype=_np.uint64))
@@ -272,7 +320,7 @@ _KERNELS: dict = {}
 
 
 def available_backends() -> tuple:
-    """Names of the backends importable right now."""
+    """Names of the backends installed right now."""
     names = [PythonKernel.name]
     if has_numpy():
         names.append(NumpyKernel.name)
@@ -284,7 +332,7 @@ def resolve_backend(backend: str | None = None) -> str:
 
     Order: an explicit non-auto *backend* wins, then the
     ``REPRO_HASH_BACKEND`` environment variable, then auto-detection
-    (numpy when importable, else python).
+    (numpy when installed, else python).
     """
     requested = backend
     if requested in (None, AUTO_BACKEND):

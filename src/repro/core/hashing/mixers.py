@@ -21,13 +21,9 @@ the value's raw hash.
 
 from __future__ import annotations
 
+from repro.core.hashing.kernels import load_numpy
 from repro.core.registry import Registry
 from repro.sim.values import MASK64, value_bits
-
-try:  # numpy is optional (the [fast] extra); scalar paths never need it
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 _CRC64_POLY = 0x42F0E1EBA9EA3693  # CRC-64/ECMA-182
 
@@ -84,10 +80,11 @@ class Mixer:
         scalar-loop fallback lets any custom mixer participate in the
         batched datapath without writing array code.
         """
-        return _np.array(
+        np = load_numpy()
+        return np.array(
             [self.location_hash_bits(int(a), int(b))
              for a, b in zip(addresses, bits)],
-            dtype=_np.uint64)
+            dtype=np.uint64)
 
     def store_delta_batch(self, addresses, old_bits, new_bits):
         """Per-location update terms ``h(a, new) - h(a, old)``, batched.
@@ -122,14 +119,15 @@ class Crc64Mixer(Mixer):
         # processes the whole batch as one gather + xor.  The 8
         # address-prefix steps are shared between h(a, v) and the
         # normalizing h(a, 0), so the zero branch only pays 8 more.
+        np = load_numpy()
         table = Crc64Mixer._table_np
         if table is None:
-            table = Crc64Mixer._table_np = _np.array(_CRC64_TABLE,
-                                                     dtype=_np.uint64)
-        byte = _np.uint64(0xFF)
-        eight = _np.uint64(8)
-        high = _np.uint64(56)
-        crc = _np.zeros(len(addresses), dtype=_np.uint64)
+            table = Crc64Mixer._table_np = np.array(_CRC64_TABLE,
+                                                    dtype=np.uint64)
+        byte = np.uint64(0xFF)
+        eight = np.uint64(8)
+        high = np.uint64(56)
+        crc = np.zeros(len(addresses), dtype=np.uint64)
         data = addresses.copy()
         for _ in range(8):
             crc = (crc << eight) ^ table[((crc >> high) ^ (data & byte))]
@@ -146,14 +144,15 @@ class Crc64Mixer(Mixer):
         return crc - zero_crc
 
     def store_delta_batch(self, addresses, old_bits, new_bits):
+        np = load_numpy()
         table = Crc64Mixer._table_np
         if table is None:
-            table = Crc64Mixer._table_np = _np.array(_CRC64_TABLE,
-                                                     dtype=_np.uint64)
-        byte = _np.uint64(0xFF)
-        eight = _np.uint64(8)
-        high = _np.uint64(56)
-        prefix = _np.zeros(len(addresses), dtype=_np.uint64)
+            table = Crc64Mixer._table_np = np.array(_CRC64_TABLE,
+                                                    dtype=np.uint64)
+        byte = np.uint64(0xFF)
+        eight = np.uint64(8)
+        high = np.uint64(56)
+        prefix = np.zeros(len(addresses), dtype=np.uint64)
         data = addresses.copy()
         for _ in range(8):
             prefix = ((prefix << eight)
@@ -213,19 +212,20 @@ class SplitMix64Mixer(Mixer):
     def _finalize_np(z):
         # The scalar _finalize on uint64 arrays: numpy unsigned
         # arithmetic wraps mod 2^64, standing in for the `& MASK64`s.
-        z = (z ^ (z >> _np.uint64(30))) * _np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> _np.uint64(27))) * _np.uint64(0x94D049BB133111EB)
-        return z ^ (z >> _np.uint64(31))
+        np = load_numpy()
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        return z ^ (z >> np.uint64(31))
 
     def location_hash_batch(self, addresses, bits):
-        z = self._finalize_np(addresses + _np.uint64(self._GOLDEN))
+        z = self._finalize_np(addresses + load_numpy().uint64(self._GOLDEN))
         zero_terms = self._finalize_np(z)
         # Wherever bits == 0 the two finalizations coincide and the
         # difference is the required normalized 0.
         return self._finalize_np(z + bits) - zero_terms
 
     def store_delta_batch(self, addresses, old_bits, new_bits):
-        z = self._finalize_np(addresses + _np.uint64(self._GOLDEN))
+        z = self._finalize_np(addresses + load_numpy().uint64(self._GOLDEN))
         return self._finalize_np(z + new_bits) - self._finalize_np(z + old_bits)
 
 

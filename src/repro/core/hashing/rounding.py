@@ -28,13 +28,9 @@ import math
 import struct
 from dataclasses import dataclass
 
+from repro.core.hashing.kernels import load_numpy
 from repro.core.registry import Registry
 from repro.sim.values import MASK64
-
-try:  # numpy is optional (the [fast] extra); apply_array needs it
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 
 class RoundingMode(enum.Enum):
@@ -100,35 +96,34 @@ class RoundingPolicy:
         """
         if self.mode is RoundingMode.NONE:
             return values
-        if _np is None:  # pragma: no cover - callers are numpy-gated
-            raise RuntimeError("apply_array requires numpy (the [fast] extra)")
-        values = _np.asarray(values, dtype=_np.float64)
-        finite = _np.isfinite(values)
+        np = load_numpy()
+        values = np.asarray(values, dtype=np.float64)
+        finite = np.isfinite(values)
         if self.mode is RoundingMode.MANTISSA_ZERO:
             if self.mantissa_bits == 0:
                 return values
-            mask = _np.uint64(MASK64 ^ ((1 << self.mantissa_bits) - 1))
-            rounded = (values.view(_np.uint64) & mask).view(_np.float64)
+            mask = np.uint64(MASK64 ^ ((1 << self.mantissa_bits) - 1))
+            rounded = (values.view(np.uint64) & mask).view(np.float64)
         else:
             scale = 10.0**self.digits
-            with _np.errstate(invalid="ignore", over="ignore"):
+            with np.errstate(invalid="ignore", over="ignore"):
                 scaled = values * scale
                 # Values whose scaled form overflows pass through, like
                 # the scalar path: at that magnitude a 10^-N grid cannot
                 # express any rounding anyway.
-                finite &= _np.isfinite(scaled)
+                finite &= np.isfinite(scaled)
                 if self.mode is RoundingMode.DECIMAL_FLOOR:
-                    rounded = _np.floor(scaled) / scale
+                    rounded = np.floor(scaled) / scale
                 else:  # DECIMAL_NEAREST: ties away from zero
-                    rounded = _np.where(scaled >= 0,
-                                        _np.floor(scaled + 0.5),
-                                        _np.ceil(scaled - 0.5)) / scale
+                    rounded = np.where(scaled >= 0,
+                                       np.floor(scaled + 0.5),
+                                       np.ceil(scaled - 0.5)) / scale
                 # math.floor/ceil return ints, so the scalar decimal
                 # modes can only produce +0.0; numpy's floor/ceil keep
                 # the sign of zero.  Adding +0.0 maps -0.0 to +0.0 and
                 # is the identity on every other value.
                 rounded = rounded + 0.0
-        return _np.where(finite, rounded, values)
+        return np.where(finite, rounded, values)
 
 
 def zero_mantissa_bits(value: float, m: int) -> float:

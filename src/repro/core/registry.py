@@ -31,6 +31,22 @@ REGISTRIES: dict = {}
 
 _MISSING = object()
 
+
+class _Deferred:
+    """A registered ``"module:attribute"`` path, imported on first lookup."""
+
+    __slots__ = ("path",)
+
+    def __init__(self, path: str):
+        self.path = path
+
+    def load(self):
+        import importlib
+
+        module, _, attribute = self.path.partition(":")
+        return getattr(importlib.import_module(module), attribute)
+
+
 #: ``kind -> home module`` for every registry shipped with the library;
 #: importing the module populates the catalog entry.
 _HOME_MODULES = {
@@ -79,6 +95,16 @@ class Registry(Mapping):
         self._entries[name] = obj
         return obj
 
+    def register_deferred(self, name: str, path: str) -> None:
+        """Register the object at *path* (``"module:attribute"``) under
+        *name* without importing its module.
+
+        The first lookup of *name* imports it, so a component whose
+        module is costly to load is paid for only by the callers that
+        resolve it; membership tests and :meth:`names` never import.
+        """
+        self.register(name, _Deferred(path))
+
     def unregister(self, name: str) -> None:
         self._entries.pop(name, None)
 
@@ -89,14 +115,16 @@ class Registry(Mapping):
         turned lookup typos into downstream crashes; pass *default* to
         opt back into the soft behavior.
         """
-        if default is not _MISSING:
-            return self._entries.get(name, default)
-        try:
-            return self._entries[name]
-        except KeyError:
+        obj = self._entries.get(name, _MISSING)
+        if obj is _MISSING:
+            if default is not _MISSING:
+                return default
             raise self.error(
                 f"unknown {self.what} {name!r}{self._suggestion(name)}; "
-                f"available: {sorted(self._entries)}") from None
+                f"available: {sorted(self._entries)}")
+        if type(obj) is _Deferred:
+            obj = self._entries[name] = obj.load()
+        return obj
 
     def _suggestion(self, name: str) -> str:
         """A ``did you mean`` hint for near-miss lookups.

@@ -322,19 +322,6 @@ class Machine:
         self._commit_store(*entry)
         return entry[1], entry[2]
 
-    def drain_thread(self, tid: int) -> list:
-        """Fence: retire every buffered store of *tid*.
-
-        Returns the drained addresses (the runtime reports them to an
-        observing scheduler — a fence's writes are part of its step).
-        """
-        if self.memory_model is None:
-            return []
-        drained = self.memory_model.drain_thread(tid)
-        for entry in drained:
-            self._commit_store(*entry)
-        return [entry[2] for entry in drained]
-
     def drain_all(self) -> list:
         """Retire every buffered store (before a checkpoint's read)."""
         if self.memory_model is None:

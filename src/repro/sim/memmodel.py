@@ -111,21 +111,6 @@ class StoreBufferModel(MemoryModel):
         """Remove and return the oldest entry of *key*'s FIFO."""
         return self._queues[key].popleft()
 
-    def drain_thread(self, tid: int) -> list:
-        """Remove every buffered store of *tid*, in retirement order.
-
-        Order is program order within each FIFO; across a thread's
-        per-location FIFOs (PSO) it is first-use key order — any order
-        is legal at a fence, this one is deterministic.
-        """
-        drained = []
-        for key, queue in self._queues.items():
-            if key[0] != tid:
-                continue
-            while queue:
-                drained.append(queue.popleft())
-        return drained
-
     def drain_all(self) -> list:
         """Remove every buffered store of every thread."""
         drained = []

@@ -22,7 +22,10 @@ flags.
 
 Disabled (the default, over a :class:`NullSink`) the whole subsystem is
 a no-op: ``Telemetry.enabled`` is False and hot-path call sites guard
-on it, so no events, timestamps, or dicts are ever created.
+on it, so no events, timestamps, or dicts are ever created.  The HTTP
+side (:class:`MetricsServer`, :func:`health_document`,
+:func:`write_prometheus_snapshot`) loads on first access, so a command
+without ``--metrics-port`` never imports ``http.server``.
 
 See ``docs/telemetry.md`` for the event schema and
 ``docs/observability.md`` for the live plane.
@@ -32,8 +35,6 @@ from repro.telemetry.bus import DEFAULT_QUEUE, EventBus, Subscription
 from repro.telemetry.console import SessionConsole
 from repro.telemetry.export import (chrome_trace, parse_prometheus,
                                     render_prometheus)
-from repro.telemetry.http import (MetricsServer, health_document,
-                                  write_prometheus_snapshot)
 from repro.telemetry.plane import ObservabilityPlane
 from repro.telemetry.registry import (Counter, Gauge, Histogram,
                                       MetricsRegistry, metric_key)
@@ -56,3 +57,14 @@ __all__ = [
     "MetricsServer", "health_document", "write_prometheus_snapshot",
     "SessionConsole", "ObservabilityPlane",
 ]
+
+#: Re-exports of :mod:`repro.telemetry.http`, loaded on first access.
+_HTTP_NAMES = ("MetricsServer", "health_document", "write_prometheus_snapshot")
+
+
+def __getattr__(name):
+    if name not in _HTTP_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from repro.telemetry import http
+
+    return getattr(http, name)

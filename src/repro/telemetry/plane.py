@@ -7,7 +7,8 @@ optional JSONL recording subscriber, an optional live
 :class:`~repro.telemetry.console.SessionConsole`, and an optional
 :class:`~repro.telemetry.http.MetricsServer`.  The CLI's
 ``--telemetry`` / ``--progress`` / ``--metrics-port`` flags map 1:1
-onto :meth:`ObservabilityPlane.open` arguments.
+onto :meth:`ObservabilityPlane.open` arguments; the HTTP server's
+module is imported only when ``--metrics-port`` asks for it.
 
 Shutdown ordering matters and is owned here: the telemetry session is
 closed first (stamping ``events_dropped`` and the final metrics
@@ -19,11 +20,15 @@ the end of a run sees the finished totals.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.telemetry.bus import EventBus
 from repro.telemetry.console import SessionConsole
-from repro.telemetry.http import MetricsServer
 from repro.telemetry.sinks import JsonlSink
 from repro.telemetry.tracer import Telemetry
+
+if TYPE_CHECKING:
+    from repro.telemetry.http import MetricsServer
 
 
 class ObservabilityPlane:
@@ -65,6 +70,8 @@ class ObservabilityPlane:
             console.start()
         server = None
         if metrics_port is not None:
+            from repro.telemetry.http import MetricsServer
+
             server = MetricsServer(telemetry, port=metrics_port,
                                    host=metrics_host)
             server.start()

@@ -14,6 +14,14 @@ mixer × rounding-policy combination:
   adversarial values: 2^64-1 wraparound, negative zero, NaNs and
   infinities through the FP round-off unit, denormals, decimal ties.
 
+The NumPy kernel sends batches shorter than ``kernels._NUMPY_MIN_BATCH``
+through the pure-Python code.  So that the properties above test its
+vectorized bodies on small arrays too, rather than comparing Python with
+Python, the module-scoped :func:`vectorize_every_batch` fixture sets that
+threshold to 0 for every test here; only
+:func:`test_dispatching_numpy_kernel_matches_python_at_every_length`
+runs the threshold the checker uses.
+
 Example counts follow the hypothesis profile registered in
 ``tests/conftest.py`` (``HYPOTHESIS_PROFILE=ci`` runs >= 200 per
 property).
@@ -21,6 +29,7 @@ property).
 
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -37,6 +46,17 @@ from repro.sim.values import MASK64, float_to_bits
 
 BACKENDS = available_backends()
 MIXERS = available_mixers()
+
+#: The threshold the checker runs with (the fixture below zeroes it).
+NUMPY_MIN_BATCH = kernels._NUMPY_MIN_BATCH
+
+
+@pytest.fixture(autouse=True, scope="module")
+def vectorize_every_batch():
+    """Route every batch, however short, through the vectorized bodies."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "_NUMPY_MIN_BATCH", 0)
+        yield
 
 #: Every rounding-policy shape the schemes can configure.
 POLICIES = {
@@ -237,6 +257,37 @@ def test_backends_bit_identical_on_random_values(mixer_name, locs, policy_key):
 
 
 @needs_numpy
+@pytest.mark.parametrize("mixer_name", MIXERS)
+@given(stores=st.lists(st.tuples(addresses, word_values, word_values),
+                       min_size=2 * NUMPY_MIN_BATCH,
+                       max_size=2 * NUMPY_MIN_BATCH))
+def test_dispatching_numpy_kernel_matches_python_at_every_length(mixer_name,
+                                                                 stores):
+    """At the checker's real threshold, every batch length from 0 to
+    twice it (both sides of the scalar/vectorized switch), with and
+    without FP rounding, gives the Python kernel's value."""
+    py, np_k = PythonKernel(), get_kernel("numpy")
+    mixer = get_mixer(mixer_name)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "_NUMPY_MIN_BATCH", NUMPY_MIN_BATCH)
+        for policy in (None, default_policy()):
+            for n in range(2 * NUMPY_MIN_BATCH + 1):
+                addrs, old, new = unzip3(stores[:n])
+                flags = fp_flags_of(new)
+                assert np_k.store_delta(mixer, policy, addrs, old, new,
+                                        flags) == py.store_delta(
+                    mixer, policy, addrs, old, new, flags)
+                assert np_k.fold_locations(mixer, policy, addrs, new,
+                                           flags) == py.fold_locations(
+                    mixer, policy, addrs, new, flags)
+                assert np_k.location_terms(mixer, policy, addrs, new,
+                                           flags) == py.location_terms(
+                    mixer, policy, addrs, new, flags)
+                terms = py.location_terms(mixer, policy, addrs, old, flags)
+                assert np_k.fold_terms(terms) == py.fold_terms(terms)
+
+
+@needs_numpy
 @pytest.mark.parametrize("policy_key", sorted(POLICIES))
 @given(values=st.lists(float_words, max_size=32))
 def test_apply_array_bit_identical_to_scalar_apply(policy_key, values):
@@ -309,10 +360,17 @@ def test_resolve_backend_rejects_unknown():
 
 
 def test_resolve_backend_numpy_unavailable(monkeypatch):
-    monkeypatch.setattr(kernels, "_np", None)
-    assert resolve_backend(None) == "python"
-    with pytest.raises(ValueError, match=r"\[fast\]"):
-        resolve_backend("numpy")
+    # A None entry in sys.modules is how the import system spells "not
+    # installed": find_spec answers None and ``import numpy`` fails.
+    monkeypatch.delenv(ENV_BACKEND, raising=False)
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    has_numpy.cache_clear()
+    try:
+        assert resolve_backend(None) == "python"
+        with pytest.raises(ValueError, match=r"\[fast\]"):
+            resolve_backend("numpy")
+    finally:
+        has_numpy.cache_clear()
 
 
 def test_python_kernel_handles_empty_batches():

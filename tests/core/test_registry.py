@@ -1,5 +1,7 @@
 """Tests for the uniform component registry (`repro.core.registry`)."""
 
+import sys
+
 import pytest
 
 from repro.core.registry import REGISTRIES, Registry, all_registries, self_check
@@ -27,6 +29,17 @@ def test_register_as_decorator(scratch):
 
     assert fn() == 42  # the decorator returns the object unchanged
     assert scratch.get("fn") is fn
+
+
+def test_deferred_entry_imports_on_first_lookup(scratch, monkeypatch):
+    monkeypatch.delitem(sys.modules, "colorsys", raising=False)
+    scratch.register_deferred("hsv", "colorsys:rgb_to_hsv")
+    assert "hsv" in scratch
+    assert scratch.names() == ("hsv",)
+    assert "colorsys" not in sys.modules
+    resolved = scratch.get("hsv")
+    assert resolved is sys.modules["colorsys"].rgb_to_hsv
+    assert scratch["hsv"] is resolved
 
 
 def test_unknown_name_raises_configured_error(scratch):

@@ -55,9 +55,12 @@ def test_tso_single_fifo_per_thread():
     model.push(_entry(1, 20, 222))
     model.push(_entry(2, 10, 333))
     assert model.pending_keys() == [(1,), (2,)]
-    # FIFO: program order within the thread is preserved.
-    drained = model.drain_thread(1)
+    # FIFO: program order within the thread is preserved, across
+    # locations too (one queue per thread).
+    assert (model.peek((1,))[2], model.peek((1,))[3]) == (10, 111)
+    drained = [model.pop((1,)), model.pop((1,))]
     assert [(e[2], e[3]) for e in drained] == [(10, 111), (20, 222)]
+    assert model.peek((1,)) is None
     assert model.pending_count() == 1
 
 
