@@ -319,13 +319,9 @@ def _add_robustness_args(parser) -> None:
                         "engine: a count or 'auto' (one per CPU); default 1 "
                         "= serial")
     parser.add_argument("--executor", default="auto",
-                        choices=("auto", "serial", "process-pool",
-                                 "process-pool-shmem", "socket"),
+                        choices=("auto", "serial", "process-pool", "socket"),
                         help="execution backend; 'auto' picks serial for "
-                        "--workers 1 and otherwise honors $REPRO_EXECUTOR "
-                        "before defaulting to process-pool; process-pool-"
-                        "shmem adds the shared-memory checkpoint exchange "
-                        "with mid-run divergence cancellation; socket "
+                        "--workers 1 and process-pool otherwise; socket "
                         "dispatches runs to 'repro worker' processes (needs "
                         "'repro serve' or REPRO_SOCKET_PORT)")
 

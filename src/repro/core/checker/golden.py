@@ -154,7 +154,9 @@ class GoldenCase:
 #: The committed suite: fast (each case well under a second), yet
 #: covering the verdict space — bit-identical determinism, a multi-
 #: scheme session, a seeded nondeterminism bug, crash classification,
-#: and a journaled campaign.
+#: and a journaled campaign.  The ``-pool`` cases are twins of serial
+#: ones on a 2-worker process pool: ``workers`` is dropped before
+#: hashing, so each must digest exactly as its serial case does.
 DEFAULT_SUITE = (
     GoldenCase("session-fft-hw", "fft"),
     GoldenCase("session-radix-hw-sw", "radix",
@@ -164,6 +166,10 @@ DEFAULT_SUITE = (
     GoldenCase("session-deadlock-crash", "deadlock-fault"),
     GoldenCase("session-sb-visible-late-tso", "seeded-sb-visible-late",
                runs=6, config={"memory_model": "tso"}),
+    GoldenCase("session-seeded-radix-ndet-pool", "seeded-radix", runs=4,
+               config={"workers": 2}),
+    GoldenCase("session-sb-visible-late-tso-pool", "seeded-sb-visible-late",
+               runs=6, config={"memory_model": "tso", "workers": 2}),
     GoldenCase("campaign-fft-journal", "fft", kind="campaign",
                inputs=(("small", {"log2_n": 5}), ("large", {"log2_n": 7}))),
 )

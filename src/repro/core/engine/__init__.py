@@ -9,14 +9,12 @@ sessions, campaigns — is one instantiation of the same pipeline:
 * the transport-agnostic :class:`~repro.core.engine.coordinator.
   Coordinator` drives the batch through a
   :class:`~repro.core.engine.transports.Transport` — inline
-  (``serial``), the local process pool (``process-pool``, optionally
-  with the shared-memory checkpoint exchange, ``process-pool-shmem``),
-  or the socket worker fleet (``socket``, docs/distributed.md) —
-  streaming completed runs back in completion order behind one
-  interface.  A session imports only the backend it runs: the
-  shared-memory and socket modules load when that backend is chosen
-  (``ShmemPoolTransport``, ``SocketTransport`` and ``WorkerHub`` are
-  re-exported here lazily);
+  (``serial``), the local process pool (``process-pool``), or the
+  socket worker fleet (``socket``, docs/distributed.md) — streaming
+  completed runs back in completion order behind one interface.  A
+  session imports only the backend it runs: the socket module loads
+  when that backend is chosen (``SocketTransport`` and ``WorkerHub``
+  are re-exported here lazily);
 * an incremental :class:`~repro.core.engine.judge.Judge` folds each
   run's checkpoint-hash sequence into the verdict as it arrives and can
   issue a cancel signal — ``stop_on_first`` cancels outstanding work
@@ -55,13 +53,11 @@ __all__ = [
     "SessionPlan", "Judge", "first_divergent_run", "make_verdict",
     "record_key", "resolve_workers", "execute_session", "execute_campaign",
     "Coordinator", "Feedback", "coordinate", "Transport", "InlineTransport",
-    "ProcessPoolTransport", "ShmemPoolTransport", "SocketTransport",
-    "WorkerHub",
+    "ProcessPoolTransport", "SocketTransport", "WorkerHub",
 ]
 
 #: Re-exports whose modules load on first access (module ``__getattr__``).
 _DEFERRED = {
-    "ShmemPoolTransport": "repro.core.engine.shmem",
     "SocketTransport": "repro.core.engine.sockets",
     "WorkerHub": "repro.core.engine.sockets",
 }

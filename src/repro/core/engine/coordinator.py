@@ -1,6 +1,6 @@
 """The transport-agnostic coordinator: one async scheduling loop.
 
-Every backend — serial, the local process pools, the socket worker
+Every backend — serial, the local process pool, the socket worker
 fleet — is driven by the same loop: submit the task batch through a
 :class:`~repro.core.engine.transports.Transport`, await results in
 completion order, fold each one into the caller's *feedback* object
@@ -30,14 +30,9 @@ import asyncio
 
 
 class Feedback:
-    """What the coordinator folds results into and takes steering from.
+    """What the coordinator folds results into and takes steering from."""
 
-    ``fold`` returns False for values it consumed without judging (the
-    shmem backend's mid-run cancellation markers) — the coordinator
-    skips the steering step for those.
-    """
-
-    def fold(self, index: int, value) -> bool:
+    def fold(self, index: int, value) -> None:
         raise NotImplementedError
 
     def should_cancel(self) -> bool:
@@ -73,9 +68,7 @@ class Coordinator:
                 item = await transport.next_result()
                 if item is None:
                     break
-                index, value = item
-                if not feedback.fold(index, value):
-                    continue  # a marker, not a result: nothing to steer
+                feedback.fold(*item)
                 if not transport.cancelled:
                     if feedback.should_cancel():
                         await transport.cancel(floor=feedback.cancel_floor())

@@ -9,8 +9,6 @@ mid-stream on the judge's early-exit signal:
   runs tasks inline, in index order;
 * ``process-pool`` — :class:`~repro.core.engine.transports.
   ProcessPoolTransport` fans tasks across a local process pool;
-* ``process-pool-shmem`` — :class:`~repro.core.engine.shmem.
-  ShmemPoolTransport` adds the shared-memory checkpoint exchange;
 * ``socket`` — :class:`~repro.core.engine.sockets.SocketTransport`
   dispatches runs to ``repro worker`` processes, possibly on other
   machines (docs/distributed.md).
@@ -50,8 +48,8 @@ def resolve_workers(workers) -> int:
 
 #: The executor-backend registry (the 9th catalog family).  Each
 #: backend's module is imported when its name is first looked up, not
-#: with this module: a serial session never loads the shared-memory or
-#: socket code.  Registration order is the listing order.
+#: with this module: a serial session never loads the socket code.
+#: Registration order is the listing order.
 EXECUTORS = Registry("executors", error=CheckerError,
                      what="executor backend")
 EXECUTORS.register_deferred(
@@ -59,27 +57,14 @@ EXECUTORS.register_deferred(
 EXECUTORS.register_deferred(
     "process-pool", "repro.core.engine.transports:ProcessPoolTransport")
 EXECUTORS.register_deferred(
-    "process-pool-shmem", "repro.core.engine.shmem:ShmemPoolTransport")
-EXECUTORS.register_deferred(
     "socket", "repro.core.engine.sockets:SocketTransport")
-
-#: Environment override consulted by :func:`resolve_executor` for
-#: configs left on ``executor="auto"``: the preferred *pool* backend.
-#: It never forces a pool onto a session that resolved to one worker
-#: (so ``REPRO_EXECUTOR=process-pool-shmem`` runs a whole test suite
-#: with every pooled session on the shmem backend while serial-path
-#: behavior stays untouched — the CI matrix axis).
-EXECUTOR_ENV_VAR = "REPRO_EXECUTOR"
 
 
 def resolve_executor(name: str, n_workers: int) -> str:
     """Map a config's ``executor`` knob to a concrete backend name.
 
     An explicit name always wins (and is validated).  ``"auto"`` picks
-    ``serial`` for single-worker sessions, otherwise the pool backend
-    named by :data:`EXECUTOR_ENV_VAR` (``serial`` there is a no-op —
-    the env var expresses a pool *flavor*, not a topology override),
-    falling back to ``process-pool``.
+    ``serial`` for single-worker sessions, otherwise ``process-pool``.
     """
     if name != "auto":
         if name not in EXECUTORS:
@@ -87,14 +72,5 @@ def resolve_executor(name: str, n_workers: int) -> str:
                 f"unknown executor backend {name!r}; available: "
                 f"{sorted(EXECUTORS.names())} (or 'auto')")
         return name
-    if n_workers <= 1:
-        return "serial"
-    env = os.environ.get(EXECUTOR_ENV_VAR, "").strip()
-    if env and env != "serial":
-        if env not in EXECUTORS:
-            raise CheckerError(
-                f"{EXECUTOR_ENV_VAR}={env!r} names no executor backend; "
-                f"available: {sorted(EXECUTORS.names())}")
-        return env
-    return "process-pool"
+    return "serial" if n_workers <= 1 else "process-pool"
 

@@ -106,9 +106,8 @@ class CheckConfig:
     integer sets the pool size explicitly.  The verdict is bit-identical
     to the serial path; only wall-clock time changes.  ``executor``
     names the backend explicitly (``serial`` / ``process-pool`` /
-    ``process-pool-shmem``); the default ``"auto"`` picks from the
-    resolved worker topology (honouring ``REPRO_EXECUTOR`` as the
-    preferred pool flavor — see
+    ``socket``); the default ``"auto"`` picks from the resolved worker
+    topology (see
     :func:`~repro.core.engine.executors.resolve_executor`).
 
     The instance is immutable all the way down: ``__post_init__``

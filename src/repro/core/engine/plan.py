@@ -81,12 +81,8 @@ class SessionPlan:
             ignores=config.ignores,
         )
 
-    def make_runner(self, control, tele, checkpoint_hook=None) -> Runner:
-        """A runner wired up the way one checking session needs it.
-
-        *checkpoint_hook* is invoked with each checkpoint record the
-        moment it is taken (the shmem backend's streaming publish).
-        """
+    def make_runner(self, control, tele) -> Runner:
+        """A runner wired up the way one checking session needs it."""
         config = self.config
         scheduler = make_scheduler(config.scheduler, config.granularity)
         return Runner(self.program, scheme_factory=dict(config.schemes),
@@ -94,7 +90,6 @@ class SessionPlan:
                       n_cores=config.n_cores,
                       migrate_prob=config.migrate_prob,
                       max_steps=config.max_steps, telemetry=tele,
-                      checkpoint_hook=checkpoint_hook,
                       memory_model=config.memory_model)
 
     @staticmethod

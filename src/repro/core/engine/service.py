@@ -16,7 +16,7 @@ submissions are answered with a resubmit-able error frame.
 ``repro worker`` is the fleet side: a plain synchronous client that
 dials the hub, rebuilds each dispatched program from its registry spec
 (:mod:`repro.core.engine.wire` — no code travels), executes the same
-worker functions the process pools fork
+worker functions the process pool forks
 (:func:`~repro.core.engine.tasks.session_run_worker`,
 :func:`~repro.core.engine.tasks.campaign_input_worker`, failpoints and
 all), and streams heartbeat frames from a daemon thread so the parent's

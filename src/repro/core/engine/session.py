@@ -57,27 +57,6 @@ def execute_session(program, config, telemetry=None):
             tele.end_span(span)
 
 
-def _fold_value(plan, judge, tele, index, value, seen_pids=None,
-                transport=None) -> None:
-    """Fold one transport result — run record, failure, crash, or
-    budget-expiry marker — into the judge."""
-    if value is CRASHED:
-        salvaged = transport.salvaged_checkpoints(index) if transport else 0
-        judge.fold_failure(index,
-                           crash_failure(plan.config, index,
-                                         f"run {index + 1}",
-                                         checkpoints=salvaged))
-        return
-    if seen_pids is not None:
-        merge_worker_telemetry(tele, value, seen_pids)
-    if value["expired"]:
-        judge.fold_expired()
-    elif value["failure"] is not None:
-        judge.fold_failure(index, value["failure"])
-    else:
-        judge.fold_record(index, value["record"])
-
-
 class SessionFeedback(Feedback):
     """The judge as the coordinator's feedback: fold results, steer.
 
@@ -88,30 +67,28 @@ class SessionFeedback(Feedback):
     early exit a user asked for, not an error path.
     """
 
-    def __init__(self, plan, judge, transport, tele, seen_pids=None):
+    def __init__(self, plan, judge, tele, seen_pids=None):
         self.plan = plan
         self.judge = judge
-        self.transport = transport
         self.tele = tele
         self.seen_pids = seen_pids
 
-    def fold(self, index: int, value) -> bool:
-        if isinstance(value, dict) and value.get("cancelled"):
-            # A mid-run cancellation marker (shmem backend): counted,
-            # never folded — the judge's truncation would have dropped
-            # the record anyway (or the run is resubmitted later).
-            if self.seen_pids is not None:
-                merge_worker_telemetry(self.tele, value, self.seen_pids)
-            if self.tele:
-                self.tele.event("midrun_cancel",
-                                program=self.plan.program.name,
-                                backend=self.transport.name, run=index + 1,
-                                checkpoints=value.get("checkpoints", 0))
-                self.tele.registry.counter("runs_cancelled_midrun").inc()
-            return False
-        _fold_value(self.plan, self.judge, self.tele, index, value,
-                    self.seen_pids, self.transport)
-        return True
+    def fold(self, index: int, value) -> None:
+        """Fold one transport result — run record, failure, crash, or
+        budget-expiry marker — into the judge."""
+        judge = self.judge
+        if value is CRASHED:
+            judge.fold_failure(index, crash_failure(
+                self.plan.config, index, f"run {index + 1}"))
+            return
+        if self.seen_pids is not None:
+            merge_worker_telemetry(self.tele, value, self.seen_pids)
+        if value["expired"]:
+            judge.fold_expired()
+        elif value["failure"] is not None:
+            judge.fold_failure(index, value["failure"])
+        else:
+            judge.fold_record(index, value["record"])
 
     def should_cancel(self) -> bool:
         return self.judge.should_cancel()
@@ -129,7 +106,7 @@ class SessionFeedback(Feedback):
 
 def _drive(plan, judge, transport, tasks, tele, seen_pids=None) -> None:
     """One session batch through the coordinator's scheduling loop."""
-    feedback = SessionFeedback(plan, judge, transport, tele, seen_pids)
+    feedback = SessionFeedback(plan, judge, tele, seen_pids)
     coordinator = Coordinator(transport, feedback, tele,
                               program_name=plan.program.name)
     coordinate(coordinator.run(tasks))
@@ -167,10 +144,7 @@ def pool_session(plan: SessionPlan, tele, backend: str = "process-pool"):
     indexes across the pool; results merge by run index, so the
     records/failures — and everything judged from them — are identical
     to the serial session's.  *backend* picks the fan-out:
-    ``process-pool`` (pickle channel only), ``process-pool-shmem``
-    (checkpoint hashes streamed through shared memory, with mid-run
-    divergence cancellation under ``stop_on_first``) or ``socket``
-    (the ``repro worker`` fleet).
+    ``process-pool`` or ``socket`` (the ``repro worker`` fleet).
     """
     require_picklable(program=plan.program, config=plan.config)
     config = plan.config
@@ -224,26 +198,10 @@ def pool_session(plan: SessionPlan, tele, backend: str = "process-pool"):
                 for i in remaining
             }
         else:
-            worker_fn = session_run_worker
-            if backend == "process-pool-shmem":
-                from repro.core.engine.shmem import (
-                    ShmemPoolTransport, shmem_session_run_worker)
-
-                worker_fn = shmem_session_run_worker
-                # The reference prefix is phase 1's record (the judge's
-                # lowest-index record — remaining is only nonempty once
-                # the record run completed).
-                reference = (judge.completed[min(judge.completed)]
-                             if judge.completed else None)
-                transport = ShmemPoolTransport(
-                    plan.n_workers, deadline=deadline, telemetry=tele,
-                    reference=reference,
-                    cancel_enabled=config.stop_on_first)
-            else:
-                transport = ProcessPoolTransport(
-                    plan.n_workers, deadline=deadline, telemetry=tele)
+            transport = ProcessPoolTransport(
+                plan.n_workers, deadline=deadline, telemetry=tele)
             tasks = {
-                i: (worker_fn,
+                i: (session_run_worker,
                     (plan.program, config, i, deadline,
                      control.malloc_log, control.libcall_log, telemetry_on))
                 for i in remaining
@@ -290,7 +248,7 @@ class CampaignFeedback(Feedback):
         self.seen_pids: set = set()
         self.program_name = None
 
-    def fold(self, pos: int, value) -> bool:
+    def fold(self, pos: int, value) -> None:
         point = self.by_position[pos]
         if value is CRASHED:
             outcome = error_outcome(
@@ -309,7 +267,6 @@ class CampaignFeedback(Feedback):
         self.outcomes[pos] = outcome
         record_input_outcome(outcome, point, self.journal, self.tele,
                              self.program_name)
-        return True
 
 
 def fan_out_campaign(program_factory, points, config, tele, journal,
@@ -408,11 +365,10 @@ def execute_campaign(program_factory, inputs, config, telemetry=None,
 
         if n_workers > 1 and len(pending) > 1:
             # The fan-out backend follows the executor knob, except
-            # that session-level flavors (serial semantics, the shmem
-            # checkpoint exchange) have no meaning *across* inputs and
-            # map back to the plain pool.
+            # that ``serial`` has no meaning *across* inputs and maps
+            # back to the pool.
             backend = resolve_executor(config.executor, n_workers)
-            if backend in ("serial", "process-pool-shmem"):
+            if backend == "serial":
                 backend = "process-pool"
             fanned, program_name = fan_out_campaign(
                 program_factory, pending, config, tele, journal, n_workers,

@@ -6,7 +6,7 @@ to (frames in :mod:`repro.core.engine.wire`).  It owns the fleet —
 who is connected, who is busy — and, one batch at a time, dispatches
 task descriptors to idle workers in index order (one outstanding run
 per worker, so start order stays FIFO and early cancellation keeps the
-same bit-identity argument as the local pools).
+same bit-identity argument as the local pool).
 
 Delivery is **at-least-once**: a worker that disconnects mid-run (the
 SIGKILL analog of a pool worker dying) gets its unacknowledged index

@@ -1,6 +1,6 @@
 """Worker-side task functions and the run-attempt/telemetry protocol.
 
-Every backend — the serial loop, the process pools, the socket worker
+Every backend — the serial loop, the process pool, the socket worker
 fleet — executes runs through the same two task functions:
 :func:`session_run_worker` (one scheduled run of a session) and
 :func:`campaign_input_worker` (one full serial session for a campaign
@@ -145,20 +145,18 @@ def attempt_run(runner, budget, retry, config, tele, index: int):
     return None, failure, False
 
 
-def crash_failure(config, index: int, what: str, checkpoints: int = 0):
+def crash_failure(config, index: int, what: str):
     """The :class:`RunFailure` recorded for a worker process that died.
 
-    *checkpoints* is the salvaged progress, when the backend has any
-    (the shmem exchange keeps the dead run's published prefix) — it
-    localizes the crash exactly as a failing run's own count would.
+    The parent learns nothing of the dead run's progress, so it records
+    0 checkpoints.
     """
     from repro.core.engine.model import RunFailure
 
     return RunFailure(
         run=index + 1, seed=config.base_seed + index,
         error=WorkerCrashError.__name__,
-        message=f"worker process executing {what} died unexpectedly",
-        checkpoints=checkpoints)
+        message=f"worker process executing {what} died unexpectedly")
 
 
 # -- worker-side telemetry ---------------------------------------------------
@@ -210,8 +208,7 @@ def merge_worker_telemetry(tele, res: dict, seen_pids: set) -> None:
 
 
 def session_run_worker(program, config, index: int, session_deadline,
-                       malloc_log, libcall_log, telemetry_on: bool,
-                       checkpoint_hook=None) -> dict:
+                       malloc_log, libcall_log, telemetry_on: bool) -> dict:
     """Execute one scheduled run in a worker process.
 
     The worker rebuilds the whole stack — controller (pre-seeded with
@@ -220,8 +217,6 @@ def session_run_worker(program, config, index: int, session_deadline,
     for runs after the first.  *session_deadline* is an absolute
     ``time.monotonic()`` value (comparable across processes on the
     platforms that fork), re-armed here as this worker's budget.
-    *checkpoint_hook* is threaded to the runner (the shmem backend's
-    per-checkpoint publish-and-poll hook).
     """
     from repro.core.engine.plan import SessionPlan
 
@@ -232,7 +227,7 @@ def session_run_worker(program, config, index: int, session_deadline,
     control = plan.make_control()
     control.malloc_log = malloc_log
     control.libcall_log = libcall_log
-    runner = plan.make_runner(control, tele, checkpoint_hook=checkpoint_hook)
+    runner = plan.make_runner(control, tele)
     deadline_s = None
     if session_deadline is not None:
         deadline_s = max(0.0, session_deadline - time.monotonic())

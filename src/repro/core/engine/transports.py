@@ -2,7 +2,7 @@
 
 A :class:`Transport` is the coordinator's only view of execution —
 submit a batch, await results in completion order, cancel with a
-divergence floor, close.  Four backends implement it:
+divergence floor, close.  Three backends implement it:
 
 * :class:`InlineTransport` (``serial``) runs each task inline, in
   index order, on the coordinator's private loop.  Inline is
@@ -14,9 +14,6 @@ divergence floor, close.  Four backends implement it:
   work, one pool rebuild then per-task isolation salvage.  The
   scheduling loop awaits a completion queue, so it composes with
   transports that live on the loop (the serve daemon's socket hub).
-* :class:`~repro.core.engine.shmem.ShmemPoolTransport`
-  (``process-pool-shmem``) is that pool plus the shared-memory
-  checkpoint exchange, polled on the loop.
 * :class:`~repro.core.engine.sockets.SocketTransport` (``socket``)
   dispatches the same task descriptors to ``repro worker`` processes
   over newline-delimited JSON frames — see docs/distributed.md.
@@ -67,14 +64,6 @@ class Transport:
     async def close(self) -> None:
         """Tear down workers/connections; safe to call once, always."""
 
-    def salvaged_checkpoints(self, index: int) -> int:
-        """Checkpoints known to have completed in a run that crashed.
-
-        The pickle-channel backends learn nothing from a dead worker;
-        the shmem backend reads the dead run's published lane prefix.
-        """
-        return 0
-
 
 class InlineTransport(Transport):
     """Run tasks inline, one at a time, in index order.
@@ -114,7 +103,8 @@ def _run_isolated(task, executor, deadline):
     (every in-flight future raises ``BrokenProcessPool``), so each
     unresolved task is retried in isolation — the crasher reveals itself
     by breaking its private pool, everything else completes normally.
-    The caller builds the pool, *executor*, with its backend's initializer.
+    The caller builds the pool, *executor*, and keeps it so an aborted
+    batch can kill the worker.
     """
     value = _EXPIRED
     worker_fn, args = task
@@ -200,7 +190,6 @@ class ProcessPoolTransport(Transport):
         self._loop = None
         self._ready: collections.deque = collections.deque()
         self._salvage: list = []      # indexes awaiting an isolation pool
-        self._isolating = False       # the rebuilt pool broke too
         self._isolation: ProcessPoolExecutor | None = None
         self._rebuilds_left = self.max_pool_rebuilds
         self._pool: ProcessPoolExecutor | None = None
@@ -222,26 +211,6 @@ class ProcessPoolTransport(Transport):
             max_workers=max(1, min(self.n_workers, n_tasks)),
             mp_context=self._ctx, initializer=_worker_init,
             initargs=self._initargs)
-
-    # -- subclass hooks (no-ops on the plain pickle-channel pool) ------------
-
-    def _poll_interval_s(self) -> float | None:
-        """Cap on each wait so _on_wait_tick runs at that cadence."""
-        return None
-
-    def _on_wait_tick(self) -> None:
-        """Called after every wakeup of the wait, timeout or not."""
-
-    def _note_result(self, index: int, value):
-        """Observe (and possibly rewrite) a task result before it is
-        returned."""
-        return value
-
-    def _requeue_indexes(self):
-        """Indexes to resubmit once the pool drains (reconciliation)."""
-        return ()
-
-    # -- the batch -----------------------------------------------------------
 
     def _submit(self, index: int) -> None:
         worker_fn, args = self._tasks[index]
@@ -292,25 +261,13 @@ class ProcessPoolTransport(Transport):
             if self._salvage:
                 return await self._salvage_next()
             if not self._pending:
-                requeue = sorted(self._requeue_indexes())
-                if not requeue:
-                    return None
-                if self._isolating:
-                    self._salvage = requeue
-                else:
-                    for index in requeue:
-                        self._submit(index)
-                continue
+                return None
             done = await self._wait()
-            self._on_wait_tick()
             if not done:
-                if (self.deadline is not None
-                        and time.monotonic() >= self.deadline):
-                    # Session deadline: stop waiting; running workers
-                    # hit their own deadline poll, close() abandons them.
-                    self.expired = True
-                    return None
-                continue  # a poll tick, not an expiry
+                # Session deadline: stop waiting; running workers hit
+                # their own deadline poll, close() abandons them.
+                self.expired = True
+                return None
             unresolved = []
             for future in done:
                 # Skip revoked futures and those of a broken pool.
@@ -323,23 +280,19 @@ class ProcessPoolTransport(Transport):
                         unresolved.append(index)
                         continue
                     raise exc
-                self._ready.append((index, self._note_result(
-                    index, future.result())))
+                self._ready.append((index, future.result()))
             if unresolved:
                 self._recover(unresolved)
 
     async def _wait(self) -> list:
-        """Block until a future completes, the deadline passes or the
-        poll tick is due; then take every completion already queued."""
+        """Block until a future completes or the deadline passes; then
+        take every completion already queued."""
         completions = self._completions
         done = []
         if completions.empty():
             timeout = None
             if self.deadline is not None:
                 timeout = max(0.0, self.deadline - time.monotonic())
-            poll_s = self._poll_interval_s()
-            if poll_s is not None:
-                timeout = poll_s if timeout is None else min(timeout, poll_s)
             try:
                 done.append(await asyncio.wait_for(completions.get(),
                                                    timeout))
@@ -372,7 +325,6 @@ class ProcessPoolTransport(Transport):
             for index in sorted(unresolved):
                 self._submit(index)
         else:
-            self._isolating = True
             self._salvage = sorted(unresolved)
 
     async def _salvage_next(self):
@@ -390,7 +342,7 @@ class ProcessPoolTransport(Transport):
             self.expired = True
             self._salvage = []
             return None
-        return index, self._note_result(index, value)
+        return index, value
 
     async def close(self) -> None:
         if self.aborted:

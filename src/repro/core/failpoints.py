@@ -99,9 +99,6 @@ CATALOG: dict = {
     "worker.run.after": (
         ("kill", "sleep"),
         "pool worker, after executing one scheduled run (tasks.py)"),
-    "worker.run.checkpoint": (
-        ("kill", "sleep"),
-        "shmem pool worker, at each published checkpoint (shmem.py)"),
     "worker.input.before": (
         ("kill", "sleep"),
         "campaign pool worker, before checking one input (tasks.py)"),

@@ -226,7 +226,7 @@ class Runner:
                  keep_final_snapshot: bool = False, migrate_prob: float = 0.0,
                  max_steps: int = 20_000_000, deadline: float | None = None,
                  tracer=None, machine_hook=None, telemetry=None,
-                 checkpoint_hook=None, memory_model: str = "sc"):
+                 memory_model: str = "sc"):
         self.program = program
         self.scheme_factory = scheme_factory
         self.control = control if control is not None else NativeServices()
@@ -250,10 +250,6 @@ class Runner:
         #: Optional callable invoked with each run's fresh machine right
         #: after construction (e.g. to attach L1 cache models).
         self.machine_hook = machine_hook
-        #: Optional callable invoked with each CheckpointRecord the
-        #: moment it is appended (the shmem executor streams hashes to
-        #: the parent through it).  It may raise to abort the run.
-        self.checkpoint_hook = checkpoint_hook
         #: Optional :class:`~repro.telemetry.Telemetry` session; when
         #: enabled, every run gets a span with wall-clock timing, and the
         #: registry accumulates per-scheme hash-update counts, Figure 6
@@ -660,8 +656,6 @@ class Runner:
             record.snapshot = self.memory.snapshot()
             record.blocks = self.allocator.live_blocks()
         self.checkpoints.append(record)
-        if self.checkpoint_hook is not None:
-            self.checkpoint_hook(record)
         self.counters.note("checkpoints")
         self.counters.note("checkpoint_words", state_words)
         if timed:

@@ -187,77 +187,3 @@ class SlowProgram(Program):
     def worker(self, ctx, st, wid):
         self._sleep(self.delay_s)
         yield from ctx.store(self.G + 0, 1)
-
-
-
-
-class PhasedRandProgram(Program):
-    """Many checkpoints; with libcall replay off, divergence at phase 0.
-
-    Worker 0 stores one ``ctx.rand()`` draw and then emits *phases*
-    checkpoints with a little compute between them.  Under
-    ``libcall_replay=False`` the draw is per-seed, so every run
-    diverges from the reference at its *first* checkpoint while almost
-    all of its work is still ahead — the mid-run-cancellation target
-    shape.  With replay on (the default) the program is deterministic
-    and simply provides a long, fixed checkpoint sequence.
-    """
-
-    name = "phasedrand"
-
-    def __init__(self, phases: int = 12, n_workers: int = 2):
-        layout = StaticLayout()
-        self.G = layout.var("G")
-        super().__init__(n_workers=n_workers, static_words=layout.words)
-        self.static_layout = layout
-        self.static_types = layout.types
-        self.phases = phases
-
-    def worker(self, ctx, st, wid):
-        if wid != 0:
-            yield from ctx.sched_yield()
-            return
-        value = yield from ctx.rand()
-        yield from ctx.store(self.G, value & 0xFFFF)
-        for i in range(self.phases):
-            yield from ctx.compute(20)
-            yield from ctx.checkpoint(f"phase{i:02d}")
-
-
-class PhasedKillerProgram(Program):
-    """Checkpoints, then a hard worker death — but only off home.
-
-    Worker 0 emits checkpoints; right after the *kill_after*-th one it
-    ``os._exit``\\ s any process other than the one that constructed the
-    program.  Serial (parent) runs complete; every pooled or isolated
-    attempt dies with exactly *kill_after* checkpoints taken — the
-    workload for crash-prefix salvage through the shmem exchange.
-    """
-
-    name = "phasedkiller"
-
-    def __init__(self, phases: int = 8, kill_after: int = 3,
-                 home_pid: int | None = None):
-        import os
-
-        layout = StaticLayout()
-        self.G = layout.var("G")
-        super().__init__(n_workers=2, static_words=layout.words)
-        self.static_layout = layout
-        self.static_types = layout.types
-        self.phases = phases
-        self.kill_after = kill_after
-        self.home_pid = home_pid if home_pid is not None else os.getpid()
-
-    def worker(self, ctx, st, wid):
-        import os
-
-        if wid != 0:
-            yield from ctx.sched_yield()
-            return
-        yield from ctx.store(self.G, 7)
-        for i in range(self.phases):
-            yield from ctx.compute(10)
-            yield from ctx.checkpoint(f"phase{i:02d}")
-            if i + 1 == self.kill_after and os.getpid() != self.home_pid:
-                os._exit(86)

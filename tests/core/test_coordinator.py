@@ -45,17 +45,14 @@ class FakeTransport:
 
 
 class ScriptedFeedback(Feedback):
-    def __init__(self, cancel_after=None, floor=None, budget_after=None,
-                 markers=()):
+    def __init__(self, cancel_after=None, floor=None, budget_after=None):
         self.folded = []
         self.cancel_after = cancel_after
         self.floor = floor
         self.budget_after = budget_after
-        self.markers = set(markers)
 
     def fold(self, index, value):
         self.folded.append((index, value))
-        return index not in self.markers
 
     def should_cancel(self):
         return (self.cancel_after is not None
@@ -118,16 +115,6 @@ def test_budget_cancel_carries_no_floor_and_no_event():
     assert ("cancel", None) in transport.calls
     assert not coord.stop_cancelled
     assert tele.events == []  # expiry is the budget's event, not an ask
-
-
-def test_markers_skip_the_steering_step():
-    # Index 0 is a marker (shmem mid-run cancellation); even though the
-    # feedback would cancel after one fold, the marker must not steer.
-    transport = FakeTransport([(0, {"cancelled": True}), (1, "b")])
-    feedback = ScriptedFeedback(cancel_after=1, floor=0, markers={0})
-    coordinate(Coordinator(transport, feedback).run({0: None, 1: None}))
-    cancels = [c for c in transport.calls if c[0] == "cancel"]
-    assert len(cancels) == 1  # fired by the fold of index 1, not 0
 
 
 def test_cancel_issued_once():

@@ -19,7 +19,6 @@ from repro.core.engine import (OUTCOME_CRASH_DIVERGENCE,
                                CheckConfig, FrozenDict, Judge, SessionPlan,
                                classify_outcome, execute_session)
 from repro.core.checker.runner import check_determinism
-from repro.core.engine.executors import resolve_executor
 from repro.errors import CheckerError
 from repro.sim.faults import make_fault
 from repro.telemetry import MemorySink, Telemetry
@@ -207,8 +206,7 @@ def test_stop_on_first_pool_emits_session_cancelled():
               if e.get("t") == "event" and e["name"] == "session_cancelled"]
     assert len(events) == 1
     event = events[0]
-    # $REPRO_EXECUTOR picks the pool flavor in the CI executor cells.
-    assert event["backend"] == resolve_executor("auto", 2)
+    assert event["backend"] == "process-pool"
     assert event["completed"] >= 2
     assert event["completed"] + event["failed"] <= 12
     snapshot = tele.registry.snapshot()
@@ -225,7 +223,7 @@ def test_stop_on_first_pool_matches_serial_verdict():
 
 def test_stop_on_first_explicit_process_pool_matches_serial_and_announces():
     """An explicitly named pool honours the judge-driven cancel contract
-    under its own backend name, whatever $REPRO_EXECUTOR says."""
+    under its own backend name."""
     tele = Telemetry(MemorySink())
     serial = check_determinism(RacyProgram(),
                                CheckConfig(runs=12, stop_on_first=True))

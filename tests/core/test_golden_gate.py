@@ -17,6 +17,7 @@ from repro.core.checker.golden import (DEFAULT_SUITE, GoldenCase,
                                        diff_case, digest_payload,
                                        load_fixture, verify_suite,
                                        write_fixture)
+from repro.core.engine.executors import resolve_executor, resolve_workers
 from repro.core.hashing.mixers import SplitMix64Mixer
 from repro.errors import CheckerError
 
@@ -85,6 +86,25 @@ def test_committed_fixture_matches_this_build():
     """The real gate: the repo's committed digests vs the current code."""
     problems = verify_suite(load_fixture(COMMITTED_FIXTURE), DEFAULT_SUITE)
     assert problems == [], "\n".join(problems)
+
+
+def test_pooled_twins_digest_as_their_serial_cases():
+    """Each ``-pool`` case runs on the process pool, yet pins the same
+    digest as its serial case: the gate covers pool code, and the
+    fixture cannot drift between the two (the test above pins the
+    fixture to the build)."""
+    cases = {case.name: case for case in DEFAULT_SUITE}
+    twins = sorted(name for name in cases if name.endswith("-pool"))
+    assert twins == ["session-sb-visible-late-tso-pool",
+                     "session-seeded-radix-ndet-pool"]
+    fixture = load_fixture(COMMITTED_FIXTURE)["cases"]
+    for twin in twins:
+        config = cases[twin].check_config()
+        assert resolve_executor(config.executor,
+                                resolve_workers(config.workers)) \
+            == "process-pool"
+        serial = twin.removesuffix("-pool")
+        assert fixture[twin]["digest"] == fixture[serial]["digest"]
 
 
 # -- drift detection -----------------------------------------------------------

@@ -1,13 +1,13 @@
 """The local pool's wait loop: per-task cost flat in the batch size.
 
-Both local pools (``process-pool``, the asyncio pool once named
-``asyncio-local``, and its ``process-pool-shmem`` subclass, which adds
-a poll tick to the same loop) must register O(1) completion callbacks
-per submitted task, never a waiter on every pending future at every
-wakeup.  The other tests here pin the loop's contract that the
-completion queue must keep on both pools: the shmem poll tick fires
-while nothing completes, a revoked future's late callback is skipped
-and counted once, and a deadline cuts in-flight work short.
+``process-pool`` must register O(1) completion callbacks per submitted
+task, never a waiter on every pending future at every wakeup.  The
+other tests here pin the loop's contract that the completion queue must
+keep: a revoked future's late callback is skipped and counted once, and
+a deadline cuts in-flight work short.  Each contract is checked twice:
+on the pool the ``executors`` registry hands out for ``process-pool``
+(the ``test_pool_*`` tests), and on ``ProcessPoolTransport`` built
+directly, the asyncio pool once named ``asyncio-local``.
 """
 
 import asyncio
@@ -17,8 +17,13 @@ from concurrent.futures import _base as futures_base
 
 import pytest
 
-from repro.core.engine.shmem import ShmemPoolTransport
+from repro.core.engine.executors import EXECUTORS
 from repro.core.engine.transports import ProcessPoolTransport
+
+
+def _registry_pool(**kwargs):
+    """The ``process-pool`` backend as a session names it."""
+    return EXECUTORS["process-pool"](**kwargs)
 
 
 def _nap(index, seconds):
@@ -78,42 +83,21 @@ def registrations(monkeypatch):
 N_TASKS = 150
 
 
-def test_pool_stream_registers_linear_callbacks(registrations):
+def _check_linear_callbacks(transport, registrations):
     # Tasks that finish a few ms apart wake the parent once per few
     # completions while ~N futures are pending: a per-wakeup waiter on
-    # every pending future makes this O(N^2).  The shmem pool's poll
-    # tick wakes the loop on top of that and must add no waiters.
-    transport = ShmemPoolTransport(n_workers=2, poll_interval_s=0.001)
+    # every pending future makes this O(N^2).
     results = dict(asyncio.run(_drain(transport, _tasks(N_TASKS, 0.002))))
     assert results == {i: i for i in range(N_TASKS)}
     assert registrations[0] <= 2 * N_TASKS
+
+
+def test_pool_stream_registers_linear_callbacks(registrations):
+    _check_linear_callbacks(_registry_pool(n_workers=2), registrations)
 
 
 def test_asyncio_local_registers_linear_callbacks(registrations):
-    transport = ProcessPoolTransport(n_workers=2)
-    results = dict(asyncio.run(_drain(transport, _tasks(N_TASKS, 0.002))))
-    assert results == {i: i for i in range(N_TASKS)}
-    assert registrations[0] <= 2 * N_TASKS
-
-
-def test_shmem_poll_tick_fires_while_nothing_completes():
-    ticks = []
-    ticks_before_completion = []
-
-    class Counting(ShmemPoolTransport):
-        def _on_wait_tick(self):
-            ticks.append(time.monotonic())
-            super()._on_wait_tick()
-
-    async def note_ticks(_transport):
-        ticks_before_completion.append(len(ticks))
-
-    transport = Counting(n_workers=1, poll_interval_s=0.02)
-    results = asyncio.run(_drain(transport, _tasks(1, 0.4),
-                                 on_first=note_ticks))
-    assert results == [(0, 0)]
-    # ~20 ticks at a 20 ms cadence over a 0.4 s task; allow a slow host.
-    assert ticks_before_completion[0] >= 3
+    _check_linear_callbacks(ProcessPoolTransport(n_workers=2), registrations)
 
 
 def _check_cancel_floor_counts_once(transport):
@@ -138,7 +122,7 @@ def _check_cancel_floor_counts_once(transport):
 
 
 def test_pool_cancel_floor_skips_late_callbacks_and_counts_once():
-    _check_cancel_floor_counts_once(ShmemPoolTransport(n_workers=1))
+    _check_cancel_floor_counts_once(_registry_pool(n_workers=1))
 
 
 def test_asyncio_local_cancel_floor_skips_late_callbacks_and_counts_once():
@@ -147,7 +131,7 @@ def test_asyncio_local_cancel_floor_skips_late_callbacks_and_counts_once():
 
 def _check_deadline_expires_in_flight(make_transport):
     started = time.monotonic()
-    transport = make_transport(deadline=started + 0.3)
+    transport = make_transport(n_workers=1, deadline=started + 0.3)
     results = asyncio.run(_drain(transport, _tasks(2, 1.5)))
     assert results == []
     assert transport.expired
@@ -155,10 +139,8 @@ def _check_deadline_expires_in_flight(make_transport):
 
 
 def test_pool_deadline_expires_with_tasks_in_flight():
-    _check_deadline_expires_in_flight(
-        lambda deadline: ShmemPoolTransport(n_workers=1, deadline=deadline))
+    _check_deadline_expires_in_flight(_registry_pool)
 
 
 def test_asyncio_local_deadline_expires_with_tasks_in_flight():
-    _check_deadline_expires_in_flight(
-        lambda deadline: ProcessPoolTransport(n_workers=1, deadline=deadline))
+    _check_deadline_expires_in_flight(ProcessPoolTransport)

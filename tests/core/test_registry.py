@@ -4,8 +4,9 @@ import sys
 
 import pytest
 
+from repro.core.engine.executors import resolve_executor
 from repro.core.registry import REGISTRIES, Registry, all_registries, self_check
-from repro.errors import SchedulerError
+from repro.errors import CheckerError, SchedulerError
 
 
 @pytest.fixture
@@ -103,15 +104,29 @@ def test_self_check_resolves_every_name():
     assert ("memory-models", "tso") in resolved
     assert ("memory-models", "pso") in resolved
     assert ("executors", "serial") in resolved
-    assert ("executors", "process-pool-shmem") in resolved
+    assert ("executors", "process-pool") in resolved
     assert ("executors", "socket") in resolved
     assert len(resolved) >= 35
 
 
 def test_executors_registry_covers_every_transport():
     catalog = all_registries()
-    assert set(catalog["executors"]) == {"serial", "process-pool",
-                                         "process-pool-shmem", "socket"}
+    assert list(catalog["executors"]) == ["serial", "process-pool", "socket"]
+
+
+def test_resolve_executor_explicit_name_wins():
+    assert resolve_executor("serial", 8) == "serial"
+    assert resolve_executor("process-pool", 1) == "process-pool"
+    assert resolve_executor("socket", 2) == "socket"
+    with pytest.raises(CheckerError):
+        resolve_executor("no-such-backend", 2)
+
+
+def test_resolve_executor_auto():
+    # auto follows the worker topology: one worker is the serial path.
+    assert resolve_executor("auto", 1) == "serial"
+    assert resolve_executor("auto", 2) == "process-pool"
+    assert resolve_executor("auto", 4) == "process-pool"
 
 
 def test_memory_models_registry_in_catalog():

@@ -60,7 +60,7 @@ def test_signal_mid_campaign_shuts_down_cleanly(tmp_path, sig, name):
     assert all("SessionInterrupted" not in json.dumps(r) for r in records)
 
 
-@pytest.mark.parametrize("executor", ["process-pool", "process-pool-shmem"])
+@pytest.mark.parametrize("executor", ["process-pool"])
 def test_signal_mid_pool_session_does_not_wait_for_runs_in_flight(executor):
     # Each worker's second run sleeps 20 s, so the signal lands while
     # both workers are busy: the parent must kill them, not wait them out.

@@ -43,7 +43,6 @@ def _worker_env(**extra):
     env = os.environ.copy()
     env["PYTHONPATH"] = SRC_ROOT
     env.pop("REPRO_FAILPOINTS", None)
-    env.pop("REPRO_EXECUTOR", None)
     env.update(extra)
     return env
 

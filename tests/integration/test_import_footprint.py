@@ -34,8 +34,7 @@ print(json.dumps({"exit": code, "modules": sorted(sys.modules)}))
 #: Modules a serial, small-batch check has no use for.
 NOT_LOADED_BY_SERIAL_CHECK = (
     "numpy", "http.server", "email", "multiprocessing.shared_memory",
-    "repro.core.engine.shmem", "repro.core.engine.sockets",
-    "repro.analysis",
+    "repro.core.engine.sockets", "repro.analysis",
 )
 
 

@@ -51,8 +51,7 @@ def test_storebuffer_bug_unreachable_under_stronger_model(app, model):
     assert result.deterministic, (app, model)
 
 
-@pytest.mark.parametrize("executor",
-                         ["serial", "process-pool", "process-pool-shmem"])
+@pytest.mark.parametrize("executor", ["serial", "process-pool"])
 def test_first_ndet_run_stable_across_executors(executor, serial_baseline):
     result = check_determinism(
         seeded_program("sb-visible-late", n_workers=2), runs=24,
