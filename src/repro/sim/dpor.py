@@ -25,6 +25,16 @@ The scheduler is marked ``systematic``: session planning pins it to the
 serial executor, because pool workers rebuild schedulers per run and
 would restart the frontier every time.
 
+Each run replays the exploration stack up to the branch it forces, so
+the race analysis after it visits only the blocks from that branch on.
+The clocks and access history of the replayed prefix come from the
+previous run's analysis, and its races were folded then: they sit at
+nodes shallower than the forced one, whose backtrack and done sets only
+grew since, so folding them again would queue nothing.  The cached prefix
+is compared block by block with the new run's, and a mismatch falls
+back to a full analysis, so the exploration is exactly that of
+re-analysing every run from its first block.
+
 Dependence is computed from *footprints* — the shared-object read/write
 sets of each executed op (:func:`op_footprint`).  Store-buffer drains
 (:mod:`repro.sim.memmodel`) appear as scheduling actors with write
@@ -44,6 +54,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.errors import CheckerError
 from repro.sim.context import Op
 from repro.sim.scheduler import SCHEDULERS, DecisionScheduler, Scheduler
 
@@ -55,6 +66,10 @@ from repro.sim.scheduler import SCHEDULERS, DecisionScheduler, Scheduler
 STATE = ("state",)
 
 READ, WRITE = "R", "W"
+
+#: The format version :meth:`DporScheduler.export_frontier` writes and
+#: :meth:`DporScheduler.import_frontier` accepts.
+FRONTIER_VERSION = 2
 
 
 def _sync_object(obj) -> tuple:
@@ -205,15 +220,18 @@ def mazurkiewicz_key(trace) -> tuple:
         for lv in range(top + 1))
 
 
-def _preference(runnable) -> list:
-    """Default branch order: threads (ascending tid) before drains.
+def _preference(runnable: list) -> list:
+    """Default branch order: threads (ascending tid) before drains
+    (ascending pseudo-tid magnitude).  *runnable* must be sorted, as
+    the runtime hands it to :meth:`Scheduler.pick`.
 
     Delaying drains first means the *initial* DPOR execution under
     tso/pso is the maximally reordered one — buffered stores stay
     invisible as long as the program allows — which is exactly the
     schedule random sampling is least likely to produce.
     """
-    return sorted(runnable, key=lambda a: (a < 0, a if a >= 0 else -a))
+    return ([a for a in runnable if a >= 0]
+            + [a for a in reversed(runnable) if a < 0])
 
 
 def _fp_to_json(footprint):
@@ -290,7 +308,17 @@ class DporScheduler(Scheduler):
         self.exhausted = False
         self.budget_exhausted = False
         self._pending_analysis = False
+        self._forced_depth = -1
+        self._drop_analysis_cache()
         self._reset_run_state()
+
+    def _drop_analysis_cache(self) -> None:
+        """Forget the last analysed run; the next analysis is full."""
+        self._cached_blocks: list = []   # [(actor, footprint, node)]
+        self._cached_clocks: list = []   # block index -> vector clock
+        self._cached_history: dict = {}  # object -> [(step, actor, type)]
+        self._cached_last_write: dict = {}  # object -> (step, actor)
+        self._cached_readers: dict = {}  # object -> [(step, actor), ...]
 
     def _reset_run_state(self) -> None:
         self._trace: list = []           # [(actor, footprint)]
@@ -318,6 +346,9 @@ class DporScheduler(Scheduler):
         self._reset_run_state()
         self._frozen = frozen
         self._pending_analysis = not frozen
+        # The branch this run forces: every node below it replays the
+        # choice the previous run made there.
+        self._forced_depth = len(self._stack) - 1
 
     # -- per-run choices ------------------------------------------------------
 
@@ -362,18 +393,22 @@ class DporScheduler(Scheduler):
             return
         footprint = op_footprint(actor, op, self._runner)
         self._trace.append((actor, footprint))
-        self._node_of_step.append(self._current_node)
-        if 0 <= self._current_node < len(self._stack):
+        node_index = self._current_node
+        self._node_of_step.append(node_index)
+        if 0 <= node_index < len(self._stack):
             # Remember the block this actor executed at its decision
             # node — sleep sets at sibling branches wake on it.
-            node = self._stack[self._current_node]
-            node.block[actor] = node.block.get(actor, frozenset()) | footprint
-        for sleeper, blockfp in list(self._sleep.items()):
+            block = self._stack[node_index].block
+            block[actor] = block.get(actor, frozenset()) | footprint
+        sleep = self._sleep
+        if not sleep:
+            return
+        for sleeper, blockfp in list(sleep.items()):
             if sleeper == actor:
-                del self._sleep[sleeper]
+                del sleep[sleeper]
             elif footprint and (blockfp is None
                                 or dependent(footprint, blockfp)):
-                del self._sleep[sleeper]
+                del sleep[sleeper]
 
     # -- exploration bookkeeping ----------------------------------------------
 
@@ -398,7 +433,9 @@ class DporScheduler(Scheduler):
         if not self._pending_analysis:
             return
         self._pending_analysis = False
-        if not self._inconsistent:
+        if self._inconsistent:
+            self._drop_analysis_cache()
+        else:
             self._blocks = self._block_trace()
             self._analyze_races()
         self._advance_frontier()
@@ -430,15 +467,28 @@ class DporScheduler(Scheduler):
         causal past) give happens-before; for each block *j*, every
         dependent, unordered earlier block *i* is a *race*, and
         :meth:`_schedule_reversal` queues a branch that reverses it.
+
+        Only the blocks from the forced branch on are visited.  The
+        blocks before it replay the previous analysed run, so their
+        clocks and access history come from that run's analysis (see
+        :meth:`_resume_point`).  Skipping their races is exact: a race
+        ``(i, j)`` with *j* in the prefix was folded by the run that
+        executed the prefix, at a node shallower than the forced one —
+        the same object now, whose ``done``/``backtrack`` only grew
+        since and whose ``enabled``/``sleep0`` never change — so
+        folding it again would queue nothing.
         """
-        trace = [(actor, footprint) for actor, footprint, _node
-                 in self._blocks]
+        blocks = self._blocks
+        fresh = self._resume_point(blocks)
+        step_clock = self._cached_clocks
+        last_write = self._cached_last_write
+        readers = self._cached_readers
+        history = self._cached_history
         clocks: dict[int, dict] = {}
-        step_clock: list[dict] = []
-        last_write: dict = {}   # object -> (step, actor)
-        readers: dict = {}      # object -> [(step, actor), ...]
-        history: dict = {}      # object -> [(step, actor, type), ...]
-        for j, (p, footprint) in enumerate(trace):
+        for k in range(fresh):
+            clocks[blocks[k][0]] = step_clock[k]
+        for j in range(fresh, len(blocks)):
+            p, footprint, _node = blocks[j]
             pre = clocks.get(p, {})
             clock = dict(pre)
             merges = []
@@ -454,7 +504,7 @@ class DporScheduler(Scheduler):
                     if q != p and (typ == WRITE or other_typ == WRITE):
                         racing.add(i)
             for i in sorted(racing):
-                if pre.get(trace[i][0], -1) < i:  # unordered only
+                if pre.get(blocks[i][0], -1) < i:  # unordered only
                     self._schedule_reversal(i, j, step_clock)
             for i in merges:
                 for actor, idx in step_clock[i].items():
@@ -470,6 +520,55 @@ class DporScheduler(Scheduler):
                 else:
                     readers.setdefault(obj, []).append((j, p))
                 history.setdefault(obj, []).append((j, p, typ))
+        self._cached_blocks = blocks
+
+    def _resume_point(self, blocks: list) -> int:
+        """The first block of *blocks* that :meth:`_analyze_races` must
+        visit; the cached analysis state is cut back to the blocks
+        before it.
+
+        That is the first block executed at the forced branch's node or
+        a deeper one.  The cache checks itself: unless the previous
+        analysed run's blocks up to there equal this run's (actor,
+        footprint and node), the cache is dropped and the whole run is
+        analysed.
+        """
+        depth = self._forced_depth
+        fresh = 0
+        while fresh < len(blocks) and blocks[fresh][2] < depth:
+            fresh += 1
+        cached = self._cached_blocks
+        if fresh == 0 or cached[:fresh] != blocks[:fresh]:
+            self._drop_analysis_cache()
+            return 0
+        del self._cached_clocks[fresh:]
+        history = self._cached_history
+        last_write = self._cached_last_write
+        readers = self._cached_readers
+        # Only objects the dropped blocks touched have a different
+        # state after the prefix than after the whole previous run.
+        dirty = {obj for _actor, footprint, _node in cached[fresh:]
+                 for obj, _typ in footprint}
+        for obj in dirty:
+            entries = history[obj]
+            while entries and entries[-1][0] >= fresh:
+                entries.pop()
+            if not entries:
+                del history[obj]
+                last_write.pop(obj, None)
+                readers.pop(obj, None)
+                continue
+            # The last write and the reads after it, as the forward
+            # pass left them when it finished the prefix.
+            start = len(entries)
+            while start and entries[start - 1][2] != WRITE:
+                start -= 1
+            if start:
+                last_write[obj] = entries[start - 1][:2]
+            else:
+                last_write.pop(obj, None)
+            readers[obj] = [entry[:2] for entry in entries[start:]]
+        return fresh
 
     def _schedule_reversal(self, i: int, j: int, step_clock: list) -> None:
         """Queue a branch at *i*'s node that reverses the race *(i, j)*.
@@ -494,6 +593,12 @@ class DporScheduler(Scheduler):
         if not 0 <= node_index < len(self._stack):
             return
         node = self._stack[node_index]
+        done, backtrack = node.done, node.backtrack
+        if all(actor in done or actor in backtrack
+               for actor in node.enabled):
+            # Every outcome below is a no-op: an enabled initial is
+            # covered, and the fallback adds nothing new.
+            return
         i_actor = blocks[i][0]
         v = [k for k in range(i + 1, j)
              if step_clock[k].get(i_actor, -1) < i] + [j]
@@ -506,10 +611,10 @@ class DporScheduler(Scheduler):
             seen.add(actor)
             if all(not dependent(blocks[k][1], blocks[v[m]][1])
                    for m in range(pos)):
+                if (actor in done or actor in backtrack
+                        or actor in node.sleep0):
+                    return  # one covered initial settles the race
                 initials.append(actor)
-        if any(actor in node.done or actor in node.backtrack
-               or actor in node.sleep0 for actor in initials):
-            return
         for actor in initials:
             if actor in node.enabled:
                 node.backtrack.add(actor)
@@ -527,7 +632,7 @@ class DporScheduler(Scheduler):
                 if actor in node.sleep0:
                     node.done.add(actor)
             candidates = _preference(
-                a for a in node.backtrack if a not in node.done)
+                sorted(a for a in node.backtrack if a not in node.done))
             if candidates:
                 branch = candidates[0]
                 # Explored siblings go to sleep for the new branch, each
@@ -556,7 +661,7 @@ class DporScheduler(Scheduler):
         """The exploration state as plain JSON-serializable data."""
         self._flush_analysis()
         return {
-            "version": 2,
+            "version": FRONTIER_VERSION,
             "runs_started": self.runs_started,
             "exhausted": self.exhausted,
             "budget_exhausted": self.budget_exhausted,
@@ -572,7 +677,17 @@ class DporScheduler(Scheduler):
         }
 
     def import_frontier(self, state: dict) -> None:
-        """Resume a previously exported exploration frontier."""
+        """Resume a previously exported exploration frontier.
+
+        Raises :class:`~repro.errors.CheckerError` unless *state* is in
+        the format :meth:`export_frontier` writes (version
+        ``FRONTIER_VERSION``).
+        """
+        version = state.get("version")
+        if version != FRONTIER_VERSION:
+            raise CheckerError(
+                f"DPOR frontier has format version {version!r}; this "
+                f"scheduler reads version {FRONTIER_VERSION}")
         self.runs_started = int(state.get("runs_started", 0))
         self.exhausted = bool(state.get("exhausted", False))
         self.budget_exhausted = bool(state.get("budget_exhausted", False))
@@ -585,6 +700,7 @@ class DporScheduler(Scheduler):
             for item in state.get("stack", ())]
         self._forced = [node.chosen for node in self._stack]
         self._pending_analysis = False
+        self._drop_analysis_cache()
         self._reset_run_state()
 
 

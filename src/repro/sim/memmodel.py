@@ -76,20 +76,31 @@ class StoreBufferModel(MemoryModel):
     Queues are keyed by :meth:`key_for`; each key is one FIFO and one
     drain choice.  Keys keep insertion order (first use), which makes
     drain-choice enumeration deterministic for a given schedule prefix.
+    A key's first element is the owning tid.  The runtime asks
+    :meth:`pending_for` / :meth:`pending_count` on every fence and
+    checkpoint runnable test, so both are O(1): ``push``, ``pop`` and
+    ``drain_all`` keep a total and a per-tid count of buffered stores
+    instead of the queries scanning every queue (one per thread and
+    location under PSO).
     """
 
     buffers = True
 
     def __init__(self):
         self._queues: dict[tuple, deque] = {}
+        self._pending = 0
+        self._pending_by_tid: dict[int, int] = {}
 
     def push(self, entry: tuple) -> tuple:
         """Buffer one store entry; returns its queue key."""
-        key = self.key_for(entry[_TID], entry[_ADDRESS])
+        tid = entry[_TID]
+        key = self.key_for(tid, entry[_ADDRESS])
         queue = self._queues.get(key)
         if queue is None:
             queue = self._queues[key] = deque()
         queue.append(entry)
+        self._pending += 1
+        self._pending_by_tid[tid] = self._pending_by_tid.get(tid, 0) + 1
         return key
 
     def forward(self, tid: int, address: int):
@@ -100,6 +111,8 @@ class StoreBufferModel(MemoryModel):
 
     def pending_keys(self) -> list:
         """Keys with buffered stores, in first-use order."""
+        if not self._pending:
+            return []
         return [k for k, q in self._queues.items() if q]
 
     def peek(self, key: tuple):
@@ -109,7 +122,10 @@ class StoreBufferModel(MemoryModel):
 
     def pop(self, key: tuple):
         """Remove and return the oldest entry of *key*'s FIFO."""
-        return self._queues[key].popleft()
+        entry = self._queues[key].popleft()
+        self._pending -= 1
+        self._pending_by_tid[key[0]] -= 1
+        return entry
 
     def drain_all(self) -> list:
         """Remove every buffered store of every thread."""
@@ -117,14 +133,17 @@ class StoreBufferModel(MemoryModel):
         for queue in self._queues.values():
             while queue:
                 drained.append(queue.popleft())
+        self._pending = 0
+        self._pending_by_tid.clear()
         return drained
 
     def pending_count(self) -> int:
-        return sum(len(q) for q in self._queues.values())
+        """How many stores are buffered, over all queues (O(1))."""
+        return self._pending
 
     def pending_for(self, tid: int) -> bool:
-        """Does *tid* have any store still buffered?"""
-        return any(q for k, q in self._queues.items() if k[0] == tid)
+        """Does *tid* have any store still buffered?  (O(1))"""
+        return self._pending_by_tid.get(tid, 0) > 0
 
 
 @MEMORY_MODELS.register("tso")

@@ -432,8 +432,9 @@ class Runner:
         """Let the scheduler pick among the runnable threads and drains;
         None once neither is left, so drains at the phase tail retire
         through the scheduler too, visible to systematic exploration."""
-        runnable = sorted(
-            t.tid for t in threads.values() if self._runnable(t))
+        is_runnable = self._runnable
+        runnable = [t.tid for t in threads.values() if is_runnable(t)]
+        runnable.sort()
         if self.machine.memory_model is not None:
             # Drain pseudo-tids are negative, so splicing them in
             # front keeps the runnable list sorted.

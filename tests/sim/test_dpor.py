@@ -175,6 +175,67 @@ def test_pso_class_merging_is_hash_constant():
         assert all(len(hashes) == 1 for hashes in per_class.values())
 
 
+# -- incremental race analysis ----------------------------------------------------
+
+
+class _ResumingDpor(DporScheduler):
+    """Counts the analyses that resumed from a cached prefix."""
+
+    resumed = 0
+
+    def _resume_point(self, blocks):
+        fresh = super()._resume_point(blocks)
+        self.resumed += fresh > 0
+        return fresh
+
+
+class _FullAnalysisDpor(DporScheduler):
+    """Re-analyses every run from its first block."""
+
+    def _analyze_races(self):
+        self._drop_analysis_cache()
+        super()._analyze_races()
+
+
+def _assert_same_frontiers(make_program, memory_model, max_runs=None):
+    """Drive a prefix-caching and a full-analysis scheduler side by
+    side; their frontiers must agree after every run."""
+    cached, full = _ResumingDpor(), _FullAnalysisDpor()
+    runners = [Runner(make_program(), scheme_factory=SCHEMES,
+                      scheduler=scheduler, memory_model=memory_model)
+               for scheduler in (cached, full)]
+    runs = 0
+    while max_runs is None or runs < max_runs:
+        for runner in runners:
+            runner.run(seed=runs)
+        runs += 1
+        assert cached.export_frontier() == full.export_frontier(), \
+            f"frontiers diverged after run {runs}"
+        assert cached.last_run_redundant == full.last_run_redundant
+        more = cached.has_more()
+        assert more == full.has_more()
+        if not more:
+            break
+        assert runs <= 5_000, "DPOR did not converge"
+    return cached, runs
+
+
+@pytest.mark.parametrize("make_program,memory_model", CASES,
+                         ids=[f"{m().name}-{mm}" for m, mm in CASES])
+def test_prefix_cache_leaves_the_exploration_unchanged(make_program,
+                                                       memory_model):
+    cached, runs = _assert_same_frontiers(make_program, memory_model)
+    if runs > 2:
+        assert cached.resumed, "no analysis resumed from the prefix"
+
+
+def test_prefix_cache_leaves_a_long_pso_exploration_unchanged():
+    cached, runs = _assert_same_frontiers(
+        lambda: SbDclBroken(n_workers=6), "pso", max_runs=300)
+    assert runs == 300
+    assert cached.resumed > 250
+
+
 # -- frontier resume ---------------------------------------------------------------
 
 
@@ -201,6 +262,18 @@ def test_frontier_resumes_across_scheduler_instances():
     keys = [key for key, _ in head + tail]
     assert len(keys) == len(set(keys)), "resume re-explored a class"
     assert dict(head + tail) == full
+
+
+@pytest.mark.parametrize("version", [1, 3, None])
+def test_import_frontier_rejects_other_format_versions(version):
+    state = DporScheduler().export_frontier()
+    if version is None:
+        del state["version"]
+    else:
+        state["version"] = version
+    with pytest.raises(CheckerError,
+                       match=f"version {version!r}.* reads version 2"):
+        DporScheduler().import_frontier(state)
 
 
 def test_max_runs_budget_freezes_exploration():

@@ -98,6 +98,37 @@ def test_drain_all_empties_every_queue():
     assert model.pending_keys() == []
 
 
+# A store-buffer workload: ("push", tid, address), ("pop", pick) with
+# *pick* indexing the non-empty queues, or ("drain_all",).
+buffer_ops = st.lists(st.one_of(
+    st.tuples(st.just("push"), st.integers(0, 3), st.integers(0, 3)),
+    st.tuples(st.just("pop"), st.integers(0, 15)),
+    st.tuples(st.just("drain_all"))), max_size=40)
+
+
+@settings(deadline=None)
+@given(ops=buffer_ops, name=st.sampled_from(["tso", "pso"]))
+def test_pending_counters_match_a_scan_of_the_queues(ops, name):
+    """``pending_count``/``pending_for`` keep running counts; after every
+    operation they must equal a scan of the queues themselves."""
+    model = make_memory_model(name)
+    for step, op in enumerate(ops):
+        if op[0] == "push":
+            model.push(_entry(op[1], op[2], step))
+        elif op[0] == "pop":
+            keys = model.pending_keys()
+            if keys:
+                model.pop(keys[op[1] % len(keys)])
+        else:
+            model.drain_all()
+        queues = model._queues
+        assert model.pending_count() == sum(len(q) for q in queues.values())
+        assert model.pending_keys() == [k for k, q in queues.items() if q]
+        for tid in range(4):
+            assert model.pending_for(tid) == any(
+                q for key, q in queues.items() if key[0] == tid)
+
+
 # -- litmus programs ---------------------------------------------------------------
 
 
