@@ -170,6 +170,16 @@ DEFAULT_SUITE = (
                config={"workers": 2}),
     GoldenCase("session-sb-visible-late-tso-pool", "seeded-sb-visible-late",
                runs=6, config={"memory_model": "tso", "workers": 2}),
+    # The step loop's other paths: a switch after every access, thread
+    # migration, per-location store buffers, and PCT priorities.
+    GoldenCase("session-fft-access", "fft",
+               config={"granularity": "access"}),
+    GoldenCase("session-fft-migrate", "fft",
+               config={"migrate_prob": 0.3}),
+    GoldenCase("session-sb-dcl-pso", "seeded-sb-dcl",
+               config={"memory_model": "pso"}),
+    GoldenCase("session-radix-pct", "radix",
+               config={"scheduler": "pct"}),
     GoldenCase("campaign-fft-journal", "fft", kind="campaign",
                inputs=(("small", {"log2_n": 5}), ("large", {"log2_n": 7}))),
 )

@@ -133,13 +133,23 @@ def _kill_workers(pool: ProcessPoolExecutor) -> None:
     Workers ignore SIGINT (:func:`~repro.core.engine.tasks._worker_init`)
     and the interpreter's exit hook joins the pool's manager thread,
     which waits for them — so an abandoned in-flight run would still
-    hold the exit hostage.  ``shutdown`` forgets the process table, so
-    it is taken first.
+    hold the exit hostage.  ``shutdown`` forgets the process table and
+    the manager thread, so both are taken first.
+
+    The manager thread then sees its workers die, closes its wakeup
+    pipe and exits; it is joined here (for at most a second).  On
+    Python 3.10/3.11 the exit hook writes to that pipe without a lock,
+    so a manager still closing it at interpreter exit makes the hook
+    fail with "Bad file descriptor"; once the manager is gone, the hook
+    finds the pipe marked closed and skips it.
     """
     workers = list((pool._processes or {}).values())
+    manager = pool._executor_manager_thread
     pool.shutdown(wait=False, cancel_futures=True)
     for process in workers:
         process.terminate()
+    if manager is not None:
+        manager.join(timeout=1.0)
 
 
 class ProcessPoolTransport(Transport):

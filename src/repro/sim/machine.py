@@ -22,6 +22,7 @@ hardware scheme uses to save/restore TH registers (Section 3.3).
 
 from __future__ import annotations
 
+import bisect
 import random
 
 from repro.sim.counters import Counters
@@ -116,6 +117,9 @@ class Machine:
         # classes) would tell equivalent interleavings apart.
         self._drain_ids: dict[tuple, int] = {}
         self._drain_keys: dict[int, tuple] = {}
+        # Pseudo-tids of the non-empty FIFOs, ascending: an entry joins
+        # when its queue turns non-empty and leaves when it empties.
+        self._drain_order: list[int] = []
         self.cores = [Core(i) for i in range(n_cores)]
         self.counters = counters if counters is not None else Counters()
         self.observers: list[WriteObserver] = []
@@ -228,13 +232,12 @@ class Machine:
     cache_observer = None
 
     def load(self, tid: int, address: int):
-        """A program load; charged to the native instruction count.
+        """A program load; the runner charges it, the machine does not.
 
         Under a buffering memory model the loading thread's own pending
         stores are forwarded (a hardware store queue's bypass); other
         threads' buffered stores stay invisible until they drain.
         """
-        self.counters.charge("load")
         if self.memory_model is not None:
             hit, value = self.memory_model.forward(tid, address)
             if hit:
@@ -245,26 +248,30 @@ class Machine:
         return self.memory.load(address)
 
     def store(self, tid: int, address: int, value, is_fp: bool = False,
-              hashed: bool = True, captured_old=None, charge: bool = True) -> None:
+              hashed: bool = True, captured_old=None) -> None:
         """A store retiring through the write path.
 
+        The runner charges program stores; the machine does not.
         ``hashed=False`` marks stores issued by InstantCheck's own control
         layer with hashing disabled (e.g. allocation zero-fill); observers
         see the flag and leave their hash registers untouched.  Such
         control stores always write through — only *program* stores are
         subject to store buffering.
         """
-        if charge:
-            self.counters.charge("store")
         core = self.core_of(tid)
         model = self.memory_model
         if model is not None and hashed:
             key = model.push(
                 (core, tid, address, value, is_fp, hashed, captured_old))
-            if key not in self._drain_ids:
+            ptid = self._drain_ids.get(key)
+            if ptid is None:
                 ptid = _drain_pseudo_tid(key)
                 self._drain_ids[key] = ptid
                 self._drain_keys[ptid] = key
+            order = self._drain_order
+            index = bisect.bisect_left(order, ptid)
+            if index == len(order) or order[index] != ptid:
+                order.insert(index, ptid)
             return
         self._commit_store(core, tid, address, value, is_fp, hashed,
                            captured_old)
@@ -298,12 +305,11 @@ class Machine:
 
         The runtime splices these (all negative) ahead of the sorted
         runnable tids, so any scheduler — random, PCT, decision replay,
-        DPOR — can pick a drain exactly like a thread.
+        DPOR — can pick a drain exactly like a thread.  The list is kept
+        up to date by ``store``, ``execute_drain`` and ``drain_all``, so
+        this is a copy, not a scan of the queues.
         """
-        if self.memory_model is None:
-            return []
-        return sorted(self._drain_ids[key]
-                      for key in self.memory_model.pending_keys())
+        return list(self._drain_order)
 
     def peek_drain(self, pseudo_tid: int):
         """(owner tid, address) the drain choice would retire, or None."""
@@ -318,7 +324,11 @@ class Machine:
     def execute_drain(self, pseudo_tid: int):
         """Retire the oldest store of one buffer FIFO; returns
         (owner tid, address)."""
-        entry = self.memory_model.pop(self._drain_keys[pseudo_tid])
+        key = self._drain_keys[pseudo_tid]
+        model = self.memory_model
+        entry = model.pop(key)
+        if model.peek(key) is None:
+            self._drain_order.remove(pseudo_tid)
         self._commit_store(*entry)
         return entry[1], entry[2]
 
@@ -327,6 +337,7 @@ class Machine:
         if self.memory_model is None:
             return []
         drained = self.memory_model.drain_all()
+        self._drain_order.clear()
         for entry in drained:
             self._commit_store(*entry)
         return [entry[2] for entry in drained]

@@ -27,7 +27,7 @@ from types import SimpleNamespace
 from repro.errors import (BudgetError, DeadlockError, ProgramError,
                           SchedulerError)
 from repro.sim.allocator import Allocator
-from repro.sim.context import Ctx, Op
+from repro.sim.context import SWITCH_POINTS, Ctx, Op
 from repro.sim.counters import CostModel, Counters
 from repro.sim.machine import Machine
 from repro.sim.memmodel import make_memory_model
@@ -206,6 +206,13 @@ class _Thread:
         self.waiting_on = None
 
 
+#: Op kinds that are neither synchronization nor a fence nor a runtime
+#: service: memory accesses and ALU work, most of a run's steps.
+#: ``_run_phase`` executes them inline.  A thread whose next op is plain
+#: is runnable under every memory model.
+PLAIN_OPS = frozenset({"load", "store", "compute"})
+
+
 @functools.cache
 def _op_handler_names(cls) -> tuple:
     """``(op kind, method name)`` for each ``_op_*`` handler of *cls*.
@@ -215,6 +222,16 @@ def _op_handler_names(cls) -> tuple:
     """
     return tuple((name[len("_op_"):], name) for name in dir(cls)
                  if name.startswith("_op_"))
+
+
+@functools.cache
+def _inline_kinds(cls) -> frozenset:
+    """The plain op kinds ``_run_phase`` runs inline for *cls*: those
+    whose ``_op_*`` handler *cls* does not override.  An overridden
+    kind is dispatched through ``_handlers`` like every other kind."""
+    return frozenset(kind for kind in PLAIN_OPS
+                     if getattr(cls, "_op_" + kind)
+                     is getattr(Runner, "_op_" + kind))
 
 
 class Runner:
@@ -378,54 +395,139 @@ class Runner:
             self._advance(thread, None)  # prime to the first op
         self._threads = threads
         machine = self.machine
-        observing = getattr(self.scheduler, "wants_observations", False)
-        is_switch_point = self.scheduler.is_switch_point
+        load = machine.load
+        store = machine.store
+        scheduler = self.scheduler
+        observe = (scheduler.observe_step
+                   if getattr(scheduler, "wants_observations", False)
+                   else None)
+        tracer = self.tracer
+        inline = _inline_kinds(type(self))
+        plain = PLAIN_OPS
+        runnable = self._runnable
+        # Scheduler.is_switch_point, inline: every step at ``access``
+        # granularity; at ``sync`` a wakeup or an op in SWITCH_POINTS,
+        # which no plain op is.
+        every_step = scheduler.granularity != "sync"
         # Without migration, re-placing the thread that ran last is a
         # no-op (same tid, same core), so only a switch calls the machine.
         migrating = machine.migrate_prob > 0.0
+        max_steps = self.max_steps
+        deadline = self.deadline
+        counters = self.counters
+        instructions = counters.instructions
+        events = counters.events
+        # The step count and the plain ops' counts live in locals.  The
+        # step count is written back before any handler runs (``time``
+        # reads it); the rest reaches ``counters`` in the ``finally``.
+        # A kind's first op of the phase inserts its keys, so the
+        # counters' key order is the order of first use, as if every op
+        # were charged on the spot.
+        steps = start = self.step_count
+        switches = loads = stores = fp_stores = compute = 0
         current: int | None = None
         thread: _Thread | None = None
         at_switch = True
-        while True:
-            # Mid-block every scheduler keeps the current thread (see
-            # Scheduler.pick), so only a switch point or a blocked
-            # thread needs the full decision.
-            if at_switch or not self._runnable(thread):
-                tid = self._pick(threads, current, at_switch)
-                if tid is None:
-                    break
-            else:
-                tid = current
-            self._sched_picks += 1
-            if tid < 0:
-                # A store-buffer drain: one buffered store retires.  The
-                # current thread (if any) stays at its switch point.
-                owner, address = machine.execute_drain(tid)
-                if observing:
-                    self.scheduler.observe_step(tid, Op("drain",
-                                                        (owner, address)))
-                at_switch = True
-            else:
-                if current is not None and tid != current:
-                    self._sched_switches += 1
-                if tid != current or migrating:
-                    machine.schedule_thread(tid)
-                thread = threads[tid]
-                op = self._step(thread)
-                if observing:
-                    self.scheduler.observe_step(tid, op)
-                at_switch = is_switch_point(op.kind if op is not None else None)
-                current = tid
-            self.step_count += 1
-            if self.step_count > self.max_steps:
-                raise SchedulerError(
-                    f"run exceeded {self.max_steps} steps (livelock?)")
-            if (self.deadline is not None
-                    and (self.step_count & DEADLINE_CHECK_MASK) == 0
-                    and time.monotonic() >= self.deadline):
-                raise BudgetError(
-                    f"run exceeded its wall-clock deadline after "
-                    f"{self.step_count} steps")
+        # Did the last step run a plain op, leaving a plain op pending?
+        plain_next = False
+        try:
+            while True:
+                # Mid-block every scheduler keeps the current thread (see
+                # Scheduler.pick), so only a switch point or a blocked
+                # thread needs the full decision.  A thread whose next
+                # op is plain cannot be blocked.
+                if at_switch or not (plain_next or runnable(thread)):
+                    tid = self._pick(threads, current, at_switch)
+                    if tid is None:
+                        break
+                else:
+                    tid = current
+                if tid < 0:
+                    # A store-buffer drain: one buffered store retires.
+                    # The current thread (if any) stays at its switch
+                    # point.
+                    owner, address = machine.execute_drain(tid)
+                    if observe is not None:
+                        observe(tid, Op("drain", (owner, address)))
+                    at_switch = True
+                else:
+                    if tid != current:
+                        if current is not None:
+                            switches += 1
+                        machine.schedule_thread(tid)
+                        thread = threads[tid]
+                        send = thread.gen.send
+                        current = tid
+                    elif migrating:
+                        machine.schedule_thread(tid)
+                    op = thread.pending
+                    if op is not None and (kind := op.kind) in inline:
+                        args = op.args
+                        if tracer is not None:
+                            tracer.on_op(tid, kind, args)
+                        result = None
+                        if kind == "load":
+                            if not loads:
+                                events.setdefault("loads", 0)
+                                instructions.setdefault("load", 0)
+                            loads += 1
+                            result = load(tid, args[0])
+                        elif kind == "store":
+                            address, value, is_fp, captured_old = args
+                            if not stores:
+                                events.setdefault("stores", 0)
+                                instructions.setdefault("store", 0)
+                            stores += 1
+                            if is_fp:
+                                if not fp_stores:
+                                    events.setdefault("fp_stores", 0)
+                                fp_stores += 1
+                            store(tid, address, value, is_fp, True,
+                                  captured_old)
+                        else:
+                            if not compute:
+                                instructions.setdefault("compute", 0)
+                            compute += args[0]
+                        try:
+                            op_next = thread.pending = send(result)
+                        except StopIteration:
+                            op_next = thread.pending = None
+                            thread.status = _Status.DONE
+                        plain_next = (op_next is not None
+                                      and op_next.kind in plain)
+                        at_switch = every_step
+                    else:
+                        self.step_count = steps
+                        op = self._step(thread)
+                        plain_next = False
+                        at_switch = (every_step or op is None
+                                     or op.kind in SWITCH_POINTS)
+                    if observe is not None:
+                        observe(tid, op)
+                steps += 1
+                if steps > max_steps:
+                    raise SchedulerError(
+                        f"run exceeded {max_steps} steps (livelock?)")
+                if (deadline is not None
+                        and (steps & DEADLINE_CHECK_MASK) == 0
+                        and time.monotonic() >= deadline):
+                    raise BudgetError(
+                        f"run exceeded its wall-clock deadline after "
+                        f"{steps} steps")
+        finally:
+            self.step_count = steps
+            self._sched_picks += steps - start
+            self._sched_switches += switches
+            if loads:
+                counters.note("loads", loads)
+                counters.charge("load", loads)
+            if stores:
+                counters.note("stores", stores)
+                counters.charge("store", stores)
+            if fp_stores:
+                counters.note("fp_stores", fp_stores)
+            if compute:
+                counters.charge("compute", compute)
 
     def _pick(self, threads: dict, current: int | None,
               at_switch: bool) -> int | None:
@@ -511,9 +613,13 @@ class Runner:
 
     # One ``_op_<kind>`` handler per op kind, dispatched through
     # ``_handlers``: (thread, args) -> the value sent back to the thread.
+    # ``_run_phase`` runs ``load``, ``store`` and ``compute`` inline and
+    # keeps their counts itself; their handlers serve only a subclass
+    # that overrides one of them (see ``_inline_kinds``).
 
     def _op_load(self, thread: _Thread, args):
         self.counters.note("loads")
+        self.counters.charge("load")
         return self.machine.load(thread.tid, args[0])
 
     def _op_store(self, thread: _Thread, args):
@@ -521,6 +627,7 @@ class Runner:
         self.counters.note("stores")
         if is_fp:
             self.counters.note("fp_stores")
+        self.counters.charge("store")
         self.machine.store(thread.tid, address, value, is_fp=is_fp,
                            captured_old=captured_old)
 

@@ -50,7 +50,12 @@ class Scheduler:
         """Reset internal state for a new run with the given seed."""
 
     def is_switch_point(self, op_kind: str | None) -> bool:
-        """May the scheduler switch away after an op of this kind?"""
+        """May the scheduler switch away after an op of this kind?
+
+        This is the definition of a switch point.  The runtime's step
+        loop makes the same test inline, from ``granularity`` and
+        ``SWITCH_POINTS``; overriding this method does not change it.
+        """
         if self.granularity == "access":
             return True
         return op_kind is None or op_kind in SWITCH_POINTS

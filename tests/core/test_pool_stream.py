@@ -18,7 +18,8 @@ from concurrent.futures import _base as futures_base
 import pytest
 
 from repro.core.engine.executors import EXECUTORS
-from repro.core.engine.transports import ProcessPoolTransport
+from repro.core.engine.tasks import _mp_context
+from repro.core.engine.transports import ProcessPoolTransport, _kill_workers
 
 
 def _registry_pool(**kwargs):
@@ -144,3 +145,24 @@ def test_pool_deadline_expires_with_tasks_in_flight():
 
 def test_asyncio_local_deadline_expires_with_tasks_in_flight():
     _check_deadline_expires_in_flight(ProcessPoolTransport)
+
+
+def test_kill_workers_reaps_the_manager_thread():
+    """An aborted pool's manager thread is gone, its wakeup pipe closed,
+    before ``_kill_workers`` returns.  The interpreter's exit hook
+    writes to that pipe without a lock; a manager still closing it at
+    exit makes the hook fail with "Bad file descriptor"."""
+    pool = concurrent.futures.ProcessPoolExecutor(
+        max_workers=2, mp_context=_mp_context())
+    futures = [pool.submit(_nap, i, 30.0) for i in range(2)]
+    deadline = time.monotonic() + 10
+    while (not all(f.running() for f in futures)
+           and time.monotonic() < deadline):
+        time.sleep(0.01)
+    manager = pool._executor_manager_thread
+    wakeup = pool._executor_manager_thread_wakeup
+    started = time.monotonic()
+    _kill_workers(pool)
+    assert time.monotonic() - started < 1.5
+    assert not manager.is_alive()
+    assert wakeup._closed

@@ -2,8 +2,11 @@
 
 import random
 
+from repro.sim.counters import CostModel
 from repro.sim.machine import Machine, WriteObserver
 from repro.sim.memory import Memory
+from repro.sim.program import Runner
+from repro.workloads.fft import Fft
 
 
 class RecordingObserver(WriteObserver):
@@ -108,13 +111,17 @@ def test_free_block_notifies():
 
 
 def test_store_counts_instructions():
+    # The runner charges every program load and store once; the
+    # machine's access path charges nothing itself.
     machine, _ = make_machine()
-    before = machine.counters.instructions.get("store", 0)
     machine.store(0, 1, 5)
-    assert machine.counters.instructions["store"] > before
-    machine.store(0, 1, 6, charge=False)
-    assert machine.counters.instructions["store"] == \
-        before + machine.counters.cost_model.store
+    machine.load(0, 1)
+    assert machine.counters.instructions == {}
+    record = Runner(Fft(n_workers=2, log2_n=3), n_cores=2).run(7)
+    cost = CostModel()
+    assert record.events["stores"] > 0 and record.events["loads"] > 0
+    assert record.instructions["store"] == cost.store * record.events["stores"]
+    assert record.instructions["load"] == cost.load * record.events["loads"]
 
 
 def test_remove_observer():

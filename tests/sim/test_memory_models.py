@@ -25,7 +25,9 @@ from repro.core.control.controller import InstantCheckControl
 from repro.core.hashing.kernels import available_backends
 from repro.core.schemes.base import SchemeConfig
 from repro.sim.layout import StaticLayout
+from repro.sim.machine import Machine
 from repro.sim.memmodel import MEMORY_MODELS, make_memory_model
+from repro.sim.memory import Memory
 from repro.sim.program import Program, Runner
 from repro.sim.scheduler import DecisionScheduler
 from repro.sim.sync import Lock
@@ -127,6 +129,28 @@ def test_pending_counters_match_a_scan_of_the_queues(ops, name):
         for tid in range(4):
             assert model.pending_for(tid) == any(
                 q for key, q in queues.items() if key[0] == tid)
+
+
+@settings(deadline=None)
+@given(ops=buffer_ops, name=st.sampled_from(["tso", "pso"]))
+def test_drain_choices_match_a_scan_of_the_queues(ops, name):
+    """The machine keeps the drain choices as a sorted list, updated as
+    queues fill and empty; after every store, drain and ``drain_all``
+    it must equal the pseudo-tids of the non-empty queues, sorted."""
+    machine = Machine(Memory(static_words=8), n_cores=2,
+                      memory_model=make_memory_model(name))
+    for step, op in enumerate(ops):
+        if op[0] == "push":
+            machine.store(op[1], op[2], step)
+        elif op[0] == "pop":
+            choices = machine.drain_choices()
+            if choices:
+                machine.execute_drain(choices[op[1] % len(choices)])
+        else:
+            machine.drain_all()
+        scanned = sorted(machine._drain_ids[key]
+                         for key in machine.memory_model.pending_keys())
+        assert machine.drain_choices() == scanned
 
 
 # -- litmus programs ---------------------------------------------------------------

@@ -3,12 +3,16 @@
 Mid-block, every scheduler keeps the current thread, so the runner
 continues it without scanning the runnable set or calling
 :meth:`~repro.sim.scheduler.Scheduler.pick`, and re-places it on its
-core only on a switch or when threads migrate.  ``ReferenceRunner``
-keeps the loop's earlier shape: rescan, ``pick`` and ``schedule_thread``
-on every step, through the same step body.  Both loops must produce
-identical runs under every scheduler, memory model, switch granularity
-and migration setting.  The tests after the differential ones pin the
-runner/scheduler contract itself.
+core only on a switch or when threads migrate.  It runs the plain ops
+(``load``, ``store``, ``compute``) inline and keeps their counts in
+locals until the phase ends.  ``ReferenceRunner`` keeps the loop's
+earlier shape: rescan, ``pick``, ``schedule_thread`` and ``_step`` on
+every step, with every op dispatched through ``_handlers`` and charged
+on the spot.  Both loops must produce identical runs, counters in the
+same key order, under every scheduler, memory model, switch
+granularity and migration setting, with split stores, a tracer or
+cache models attached, and when a run is cut short.  The tests after
+the differential ones pin the runner/scheduler contract itself.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import pytest
 
 from repro.core.schemes.base import SchemeConfig
 from repro.errors import DeadlockError, SchedulerError
+from repro.sim.cache import attach_caches
 from repro.sim.context import SWITCH_POINTS, Op
 from repro.sim.dpor import DporScheduler, TracingDecisionScheduler
 from repro.sim.layout import StaticLayout
@@ -26,6 +31,7 @@ from repro.sim.program import Program, Runner, _Status
 from repro.sim.scheduler import (DecisionScheduler, PctScheduler,
                                  RandomScheduler, RoundRobinScheduler)
 from repro.sim.sync import Lock
+from repro.sim.trace import HbTracer
 from repro.workloads.fft import Fft
 from repro.workloads.storebuffer import SbDclBroken
 
@@ -34,28 +40,33 @@ from _programs import CondQueueProgram, Fig1Program
 
 class _Recording:
     """Logs every executed step as ``(actor, op kind)``; a drain's
-    actor is its negative pseudo-tid and its kind ``"drain"``."""
+    actor is its negative pseudo-tid and its kind ``"drain"``, a
+    wakeup's kind None.
+
+    The log is taken at the scheduler's ``observe_step``, which the
+    runtime calls after every step: plain ops run inline, everything
+    else through ``_step``, drains through the machine.  The wrapper
+    asks for observations and forwards them to a scheduler that wants
+    them itself."""
 
     def __init__(self, program, **kwargs):
-        super().__init__(program, machine_hook=self._record_drains, **kwargs)
+        super().__init__(program, **kwargs)
+        scheduler = self.scheduler
+        inner = (scheduler.observe_step
+                 if getattr(scheduler, "wants_observations", False)
+                 else None)
 
-    def _record_drains(self, machine):
-        execute = machine.execute_drain
+        def observe_step(actor, op):
+            self.steps.append((actor, op.kind if op is not None else None))
+            if inner is not None:
+                inner(actor, op)
 
-        def recorded(pseudo_tid):
-            self.steps.append((pseudo_tid, "drain"))
-            return execute(pseudo_tid)
-
-        machine.execute_drain = recorded
+        scheduler.observe_step = observe_step
+        scheduler.wants_observations = True
 
     def _run_body(self, seed):
         self.steps = []
         return super()._run_body(seed)
-
-    def _step(self, thread):
-        op = super()._step(thread)
-        self.steps.append((thread.tid, op.kind if op is not None else None))
-        return op
 
 
 class RecordingRunner(_Recording, Runner):
@@ -63,14 +74,16 @@ class RecordingRunner(_Recording, Runner):
 
 
 class ReferenceRunner(_Recording, Runner):
-    """The step loop as it was before mid-block continuation."""
+    """The step loop as it was before mid-block continuation and the
+    inline plain ops: rescan, ``pick``, ``schedule_thread`` and
+    ``_step`` (so ``_handlers``) on every step, counters charged op by
+    op."""
 
     def _run_phase(self, threads: dict) -> None:
         for thread in threads.values():
             self._advance(thread, None)
         self._threads = threads
         buffering = self.machine.memory_model is not None
-        observing = getattr(self.scheduler, "wants_observations", False)
         current = None
         at_switch = True
         while True:
@@ -91,9 +104,7 @@ class ReferenceRunner(_Recording, Runner):
             self._sched_picks += 1
             if tid < 0:
                 owner, address = self.machine.execute_drain(tid)
-                if observing:
-                    self.scheduler.observe_step(tid, Op("drain",
-                                                        (owner, address)))
+                self.scheduler.observe_step(tid, Op("drain", (owner, address)))
                 at_switch = True
             else:
                 if current is not None and tid != current:
@@ -101,12 +112,13 @@ class ReferenceRunner(_Recording, Runner):
                 thread = threads[tid]
                 self.machine.schedule_thread(tid)
                 op = self._step(thread)
-                if observing:
-                    self.scheduler.observe_step(tid, op)
+                self.scheduler.observe_step(tid, op)
                 at_switch = self.scheduler.is_switch_point(
                     op.kind if op is not None else None)
                 current = tid
             self.step_count += 1
+            if self.step_count > self.max_steps:
+                raise SchedulerError("run exceeded max_steps")
 
 
 def _decisions(granularity):
@@ -140,10 +152,47 @@ def _scheduler_state(scheduler):
     return None
 
 
-def _runs(runner_cls, program, scheduler, memory_model, migrate_prob):
-    runner = runner_cls(program(), scheme_factory=SchemeConfig(),
-                        scheduler=scheduler, memory_model=memory_model,
-                        migrate_prob=migrate_prob)
+class _Caches:
+    """A ``machine_hook`` that attaches L1 models and keeps the last
+    run's observer."""
+
+    observer = None
+
+    def __call__(self, machine):
+        self.observer = attach_caches(machine)
+
+
+#: Runner settings the inline plain ops must honour: the default HW
+#: scheme; SW-InstantCheck_Inc non-atomic, whose split stores issue a
+#: ``read_old`` step before each store; a happens-before tracer that
+#: sees every op; and L1 cache models fed by every load.
+CONFIGS = {
+    "hw": lambda: {"scheme_factory": SchemeConfig()},
+    "sw_inc-split": lambda: {
+        "scheme_factory": SchemeConfig(kind="sw_inc", atomic=False)},
+    "hb-tracer": lambda: {"scheme_factory": SchemeConfig(),
+                          "tracer": HbTracer()},
+    "caches": lambda: {"scheme_factory": SchemeConfig(),
+                       "machine_hook": _Caches()},
+}
+
+
+def _instrumentation_state(runner):
+    """What the tracer and the cache models saw, so far."""
+    state = []
+    if runner.tracer is not None:
+        state.append((runner.tracer.sync_signature(),
+                      sorted(runner.tracer.racy_addresses())))
+    if runner.machine_hook is not None:
+        state.append(runner.machine_hook.observer.total_stats())
+    return state
+
+
+def _runs(runner_cls, program, scheduler, memory_model, migrate_prob,
+          config="hw"):
+    runner = runner_cls(program(), scheduler=scheduler,
+                        memory_model=memory_model,
+                        migrate_prob=migrate_prob, **CONFIGS[config]())
     runs = []
     # Consecutive runs on one scheduler: DPOR carries its frontier
     # from one run to the next.
@@ -151,8 +200,19 @@ def _runs(runner_cls, program, scheduler, memory_model, migrate_prob):
         record = runner.run(seed)
         runs.append((runner.steps, runner.step_count, runner._sched_picks,
                      runner._sched_switches, record,
+                     # Key order too: counts kept in locals must reach
+                     # the counters in the order of first use.
+                     list(record.instructions), list(record.events),
+                     _instrumentation_state(runner),
                      _scheduler_state(scheduler)))
     return runs
+
+
+def _assert_same_runs(fast, reference):
+    assert len(fast) == len(reference)
+    for got, want in zip(fast, reference):
+        assert got[0] == want[0]  # the (actor, op kind) step trace
+        assert got[1:] == want[1:]
 
 
 @pytest.mark.parametrize("migrate_prob", [0.0, 0.3])
@@ -168,10 +228,89 @@ def test_step_loop_matches_the_every_step_reference(
                  memory_model, migrate_prob)
     reference = _runs(ReferenceRunner, make_program,
                       make_scheduler(granularity), memory_model, migrate_prob)
-    assert len(fast) == len(reference)
-    for got, want in zip(fast, reference):
-        assert got[0] == want[0]  # the (actor, op kind) step trace
-        assert got[1:] == want[1:]
+    _assert_same_runs(fast, reference)
+
+
+@pytest.mark.parametrize("config", ["sw_inc-split", "hb-tracer", "caches"])
+@pytest.mark.parametrize("granularity", ["sync", "access"])
+@pytest.mark.parametrize("memory_model", ["sc", "tso", "pso"])
+@pytest.mark.parametrize("scheduler", list(SCHEDULERS))
+@pytest.mark.parametrize("program", list(PROGRAMS))
+def test_step_loop_matches_the_reference_under_instrumentation(
+        program, scheduler, memory_model, granularity, config):
+    make_program = PROGRAMS[program]
+    make_scheduler = SCHEDULERS[scheduler]
+    fast = _runs(RecordingRunner, make_program, make_scheduler(granularity),
+                 memory_model, 0.0, config)
+    reference = _runs(ReferenceRunner, make_program,
+                      make_scheduler(granularity), memory_model, 0.0, config)
+    _assert_same_runs(fast, reference)
+
+
+@pytest.mark.parametrize("memory_model", ["sc", "tso", "pso"])
+def test_run_stopped_mid_phase_flushes_its_counters(memory_model):
+    """A run cut by ``max_steps`` inside the worker phase leaves the
+    same steps, step count and counters, in the same key order, as the
+    reference that charges op by op."""
+    def runner(runner_cls, max_steps):
+        return runner_cls(Fft(n_workers=3, log2_n=3),
+                          scheme_factory=SchemeConfig(),
+                          scheduler=RandomScheduler(),
+                          memory_model=memory_model, max_steps=max_steps)
+
+    full = runner(RecordingRunner, 20_000_000)
+    full.run(0)
+    # Past the setup phase, well before the end of the workers'.
+    max_steps = full.step_count // 2
+    outcomes = []
+    for runner_cls in (RecordingRunner, ReferenceRunner):
+        stopped = runner(runner_cls, max_steps)
+        with pytest.raises(SchedulerError):
+            stopped.run(0)
+        counters = stopped.counters
+        kinds = [kind for _actor, kind in stopped.steps]
+        assert counters.events["loads"] == kinds.count("load") > 0
+        assert counters.events["stores"] == kinds.count("store") > 0
+        outcomes.append((stopped.steps, stopped.step_count,
+                         stopped._sched_picks,
+                         list(counters.instructions.items()),
+                         list(counters.events.items())))
+    assert outcomes[0][1] == max_steps + 1
+    assert outcomes[0] == outcomes[1]
+
+
+class ClockProgram(Program):
+    """Two workers do plain work, then read the clock and store what
+    they read."""
+
+    name = "clock"
+
+    def __init__(self):
+        layout = StaticLayout()
+        self.x = layout.var("x")
+        self.seen = [layout.var(f"seen{wid}") for wid in range(2)]
+        super().__init__(n_workers=2, static_words=layout.words)
+
+    def worker(self, ctx, st, wid):
+        for _ in range(3):
+            value = yield from ctx.load(self.x)
+            yield from ctx.compute(2)
+            yield from ctx.store(self.x, value + 1)
+        now = yield from ctx.gettimeofday()
+        yield from ctx.store(self.seen[wid], now)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_time_reads_the_step_count_before_its_step(seed):
+    """Without InstantCheck control, ``time`` returns the runner's step
+    count, which the loop keeps in a local: it must be written back
+    before the handler runs, however many plain steps ran inline."""
+    runner = RecordingRunner(ClockProgram())
+    runner.run(seed)
+    program = runner.program
+    for wid in range(2):
+        step = runner.steps.index((wid + 1, "time"))
+        assert runner.memory.load(program.seen[wid]) == step
 
 
 # -- the runner/scheduler contract -----------------------------------------------
