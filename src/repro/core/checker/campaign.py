@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from repro.core.engine.model import (OUTCOME_ERROR, CampaignResult,
                                      InputOutcome, InputPoint)
-from repro.core.engine.model import outcome_from_result as _outcome_from_result
 from repro.core.engine.session import execute_campaign
 from repro.core.checker.runner import CheckConfig
 
@@ -34,9 +33,6 @@ __all__ = [
     "OUTCOME_ERROR", "CampaignResult", "InputOutcome", "InputPoint",
     "run_campaign",
 ]
-
-# Backwards-compatible private alias (pre-engine callers import this).
-_outcome_from_result = _outcome_from_result
 
 
 def run_campaign(program_factory, inputs, config: CheckConfig | None = None,

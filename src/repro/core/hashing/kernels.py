@@ -21,6 +21,10 @@ Two interchangeable backends implement the same four operations:
   :class:`PythonKernel` path even here; the result is the same value
   either way.
 
+The schemes make the same calls whichever backend is selected: every
+store window, freed block and traversal sweep goes through the kernel,
+so the backend changes how a sum is evaluated, never which sums are.
+
 Backend selection: :func:`resolve_backend` honours an explicit name
 first, then the ``REPRO_HASH_BACKEND`` environment variable, then
 auto-detects (``numpy`` when installed, else ``python``).  Neither
@@ -109,9 +113,6 @@ class HashKernel:
     """
 
     name = "abstract"
-    #: True when the backend evaluates whole arrays per call (the batch
-    #: fast path is only worth routing through when this is set).
-    vectorized = False
 
     def location_terms(self, mixer, rounding, addresses, values,
                        fp_flags=None) -> list:
@@ -147,7 +148,6 @@ class PythonKernel(HashKernel):
     """The scalar reference: loops over the exact scalar datapath."""
 
     name = "python"
-    vectorized = False
 
     @staticmethod
     def _round(rounding, value, is_fp):
@@ -191,7 +191,6 @@ class NumpyKernel(PythonKernel):
     """
 
     name = "numpy"
-    vectorized = True
 
     def __init__(self):
         if not has_numpy():  # pragma: no cover - guarded by the registry

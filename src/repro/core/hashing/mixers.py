@@ -233,9 +233,6 @@ MIXERS = Registry("mixers")
 MIXERS.register(Crc64Mixer.name, Crc64Mixer)
 MIXERS.register(SplitMix64Mixer.name, SplitMix64Mixer)
 
-#: Backwards-compatible alias (pre-registry callers import this).
-_MIXERS = MIXERS
-
 DEFAULT_MIXER_NAME = SplitMix64Mixer.name
 
 

@@ -8,10 +8,14 @@ the store was an FP store and rounding is enabled, and updates the TH
 register: ``TH = TH ⊖ hash(V_addr, Data_old) ⊕ hash(V_addr, Data_new)``.
 
 All operations are core-local: no inter-core communication ever happens
-inside the MHM.  The module optionally *buffers* write-path entries and
-drains them later in an arbitrary order through a :class:`ClusterBank`,
-modeling the implementation freedom of Section 3.2; the TH value is
-independent of buffering, drain order, and cluster routing.
+inside the MHM.  Stores reach it in windows of parallel columns
+(:meth:`Mhm.on_store_batch`): the immediate-apply design (Figure 3(a))
+folds a window into TH through one hash-kernel call.  The module can
+instead *buffer* write-path entries and drain them later in an
+arbitrary order through a :class:`ClusterBank`, modeling the
+implementation freedom of Section 3.2; those designs replay a window
+store by store through :meth:`Mhm.on_store`.  The TH value is
+independent of windows, buffering, drain order, and cluster routing.
 """
 
 from __future__ import annotations
@@ -78,28 +82,26 @@ class Mhm:
         if len(self._buffer) >= self.buffer_capacity:
             self.flush()
 
-    def on_store_batch(self, entries, kernel=None) -> None:
+    def on_store_batch(self, addresses, old_values, new_values, fp_flags,
+                       kernel) -> None:
         """A window of stores retired on this core with constant MHM state.
 
-        *entries* is a list of ``(address, old_value, new_value, is_fp)``
-        tuples.  With a vectorized *kernel* and the immediate-apply
-        design (no internal buffer), the whole window folds into TH
-        through one ``store_delta`` call; otherwise the entries replay
-        through the scalar path (preserving the buffered cluster-drain
-        modeling exactly).
+        The window arrives as parallel columns.  The immediate-apply
+        design (no internal buffer) folds it into TH through one
+        *kernel* ``store_delta`` call; the buffered cluster designs
+        replay it through :meth:`on_store`, so their drain modeling is
+        exact.
         """
         if not self.hashing_enabled:
             return
-        if (kernel is None or not kernel.vectorized
-                or self.buffer_capacity != 0):
-            for entry in entries:
+        if self.buffer_capacity != 0:
+            for entry in zip(addresses, old_values, new_values, fp_flags):
                 self.on_store(*entry)
             return
         rounding = self.rounding if self.fp_rounding_enabled else None
         self.th.add(kernel.store_delta(
-            self.mixer, rounding,
-            [e[0] for e in entries], [e[1] for e in entries],
-            [e[2] for e in entries], [e[3] for e in entries]))
+            self.mixer, rounding, addresses, old_values, new_values,
+            fp_flags))
 
     def _apply(self, address: int, old_value, new_value, is_fp: bool) -> None:
         self.th.sub(self.location_term(address, old_value, is_fp))
@@ -139,20 +141,16 @@ class Mhm:
         self.th.sub(self.location_term(address, current_value, is_fp))
 
     def minus_hash_batch(self, addresses, current_values, fp_flags,
-                         kernel=None) -> None:
+                         kernel) -> None:
         """Subtract many locations at once (block deallocation).
 
-        Equivalent to ``minus_hash`` per word; with a vectorized
-        *kernel* the whole block folds through one call.
+        Equivalent to ``minus_hash`` per word; the whole block folds
+        through one *kernel* call.
         """
         self.flush()
         rounding = self.rounding if self.fp_rounding_enabled else None
-        if kernel is not None:
-            self.th.sub(kernel.fold_locations(
-                self.mixer, rounding, addresses, current_values, fp_flags))
-            return
-        for address, value, is_fp in zip(addresses, current_values, fp_flags):
-            self.th.sub(self.location_term(address, value, is_fp))
+        self.th.sub(kernel.fold_locations(
+            self.mixer, rounding, addresses, current_values, fp_flags))
 
     def plus_hash(self, address: int, value, is_fp: bool = False) -> None:
         """``plus_hash addr val``: add the hash of *val* at *addr*."""

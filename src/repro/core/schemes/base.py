@@ -10,6 +10,12 @@ a fresh machine at the start of each run; the runtime asks them for
 :class:`SchemeConfig` is the serializable description the checker stores
 in its configuration; calling it with a :class:`~repro.sim.program.Runner`
 builds and attaches the scheme for that run.
+
+The incremental schemes observe the machine's write path as *window*
+observers (:class:`~repro.sim.machine.WriteObserver`): each defines
+``on_store_batch(window)``, buckets the window's hashed stores into
+parallel columns, and folds each bucket through one call of its hash
+kernel.  There is no per-store scheme entry point.
 """
 
 from __future__ import annotations
@@ -39,8 +45,7 @@ def _build_hw(config, runner):
                        n_clusters=config.n_clusters,
                        drain_policy=config.drain_policy,
                        drain_seed=config.drain_seed,
-                       backend=config.backend,
-                       batch_stores=config.batch_stores)
+                       backend=config.backend)
 
 
 @SCHEME_BUILDERS.register("sw_inc")
@@ -49,8 +54,7 @@ def _build_sw_inc(config, runner):
 
     return SwIncScheme(runner.machine, runner.allocator,
                        mixer=config.mixer, rounding=config.rounding,
-                       atomic=config.atomic, backend=config.backend,
-                       batch_stores=config.batch_stores)
+                       atomic=config.atomic, backend=config.backend)
 
 
 @SCHEME_BUILDERS.register("sw_tr")
@@ -66,6 +70,30 @@ def _build_sw_tr(config, runner):
 
 SCHEME_KINDS = SCHEME_BUILDERS.names()
 
+#: Window-entry fields :func:`window_columns` can bucket by.
+BY_CORE, BY_TID = 0, 1
+
+
+def window_columns(window, by: int) -> dict:
+    """Bucket a store window into parallel columns per core or thread.
+
+    *window* holds the machine's ``(core, tid, address, old_value,
+    new_value, is_fp)`` entries; *by* is :data:`BY_CORE` or
+    :data:`BY_TID`.  Returns ``{key: (addresses, old_values,
+    new_values, fp_flags)}``, each column in retirement order.
+    """
+    columns: dict = {}
+    for entry in window:
+        key = entry[by]
+        bucket = columns.get(key)
+        if bucket is None:
+            bucket = columns[key] = ([], [], [], [])
+        bucket[0].append(entry[2])
+        bucket[1].append(entry[3])
+        bucket[2].append(entry[4])
+        bucket[3].append(entry[5])
+    return columns
+
 
 class Scheme(WriteObserver):
     """Interface every InstantCheck scheme implements."""
@@ -74,7 +102,7 @@ class Scheme(WriteObserver):
 
     def __init__(self, machine, allocator, mixer=DEFAULT_MIXER_NAME,
                  rounding: RoundingPolicy | None = None,
-                 backend=None, batch_stores: bool | None = None):
+                 backend=None):
         self.machine = machine
         self.allocator = allocator
         self.mixer = get_mixer(mixer) if isinstance(mixer, str) else mixer
@@ -83,15 +111,6 @@ class Scheme(WriteObserver):
         #: *backend* is a kernel name, ``"auto"``, ``None`` (environment
         #: default), or a kernel instance.
         self.kernel = get_kernel(backend)
-        # ``batch_stores=None`` means "batch iff the kernel is
-        # vectorized" — batching only pays when a window folds through
-        # one array call.  The scalar per-store path stays the default
-        # (and the reference) otherwise.
-        if batch_stores is None:
-            batch_stores = self.kernel.vectorized
-        #: Instance override of the WriteObserver class attribute: the
-        #: machine checks this flag to decide delivery style.
-        self.batch_stores = batch_stores
         #: Hash-unit invocations this run (per-store updates for the
         #: incremental schemes, per-word sweep work for traversal) —
         #: the per-scheme cost signal telemetry reports, mirroring the
@@ -99,18 +118,13 @@ class Scheme(WriteObserver):
         self.hash_updates = 0
 
     def _sync_stores(self) -> None:
-        """Close the machine's buffered store window before a read.
+        """Close the machine's store window before a read.
 
         Every externally observable read of hash state (checkpoints,
-        per-thread inspection, ISA operations) funnels through this so
-        batched and unbatched runs are indistinguishable.
+        per-thread inspection, ISA operations) funnels through this, so
+        a read always sees every store retired before it.
         """
         self.machine.flush_stores()
-
-    def _enable_store_batching(self) -> None:
-        """Turn on machine-level buffering if this scheme batches."""
-        if self.batch_stores:
-            self.machine.store_batching = True
 
     def state_hash(self) -> int:
         """The 64-bit State Hash of the current memory state."""
@@ -149,9 +163,7 @@ class SchemeConfig:
     ``backend`` selects the batch hash kernel (``"auto"``, ``"python"``,
     or ``"numpy"`` — see :mod:`repro.core.hashing.kernels`); ``"auto"``
     honours the ``REPRO_HASH_BACKEND`` environment variable and falls
-    back to auto-detection.  ``batch_stores`` controls the machine-level
-    batched store delivery: ``None`` (the default) batches exactly when
-    the resolved kernel is vectorized, ``True``/``False`` force it.
+    back to auto-detection.
     """
 
     kind: str = "hw"
@@ -162,7 +174,6 @@ class SchemeConfig:
     drain_policy: str = "fifo"
     drain_seed: int = 0
     backend: str = "auto"
-    batch_stores: bool | None = None
 
     def __post_init__(self):
         if self.kind not in SCHEME_BUILDERS:

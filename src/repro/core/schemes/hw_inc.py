@@ -1,10 +1,13 @@
 """HW-InstantCheck_Inc: the hardware incremental scheme (Section 3).
 
 One :class:`~repro.core.mhm.module.Mhm` per core observes the L1 write
-path and keeps a Thread Hash in its TH register.  On a context switch the
-OS saves the outgoing thread's TH to its thread-control block and
-restores the incoming thread's — exactly a register save/restore, which
-is why virtualization and migration are "trivial".
+path and keeps a Thread Hash in its TH register.  The machine hands the
+scheme its hashed stores in windows; the scheme splits a window into
+per-core columns, and each core's MHM folds its columns into TH through
+one hash-kernel call.  On a context switch the OS saves the outgoing
+thread's TH to its thread-control block and restores the incoming
+thread's — exactly a register save/restore, which is why virtualization
+and migration are "trivial".
 
 When the State Hash is needed (a checkpoint), software modulo-adds every
 resident TH register and every saved slot — the rare global operation
@@ -23,7 +26,7 @@ from repro.core.hashing.mixers import DEFAULT_MIXER_NAME
 from repro.core.hashing.rounding import RoundingPolicy
 from repro.core.mhm import isa as mhm_isa
 from repro.core.mhm.module import Mhm
-from repro.core.schemes.base import Scheme
+from repro.core.schemes.base import BY_CORE, Scheme, window_columns
 from repro.sim.values import MASK64
 
 
@@ -35,9 +38,9 @@ class HwIncScheme(Scheme):
     def __init__(self, machine, allocator, mixer=DEFAULT_MIXER_NAME,
                  rounding: RoundingPolicy | None = None, n_clusters: int = 1,
                  drain_policy: str = "fifo", drain_seed: int = 0,
-                 backend=None, batch_stores: bool | None = None):
+                 backend=None):
         super().__init__(machine, allocator, mixer, rounding,
-                         backend=backend, batch_stores=batch_stores)
+                         backend=backend)
         self.mhms = [
             Mhm(core.core_id, mixer=self.mixer, rounding=self.rounding,
                 n_clusters=n_clusters, drain_policy=drain_policy,
@@ -50,30 +53,16 @@ class HwIncScheme(Scheme):
 
     def attach(self) -> None:
         self.machine.add_observer(self)
-        self._enable_store_batching()
 
     # -- write-path events ------------------------------------------------------------
 
-    def on_store(self, core, tid, address, old_value, new_value, is_fp, hashed):
-        if not hashed:
-            return
-        self.hash_updates += 1
-        self.mhms[core].on_store(address, old_value, new_value, is_fp)
-
-    def on_store_batch(self, events):
-        # One buffered window; the machine guarantees no context switch
-        # or ISA operation happened inside it, so each MHM's
-        # enabled/rounding state is constant across the window and the
-        # per-core runs can fold through one kernel call each.
-        per_core: dict = {}
-        for core, tid, address, old_value, new_value, is_fp, hashed in events:
-            if not hashed:
-                continue
-            self.hash_updates += 1
-            per_core.setdefault(core, []).append(
-                (address, old_value, new_value, is_fp))
-        for core, entries in per_core.items():
-            self.mhms[core].on_store_batch(entries, kernel=self.kernel)
+    def on_store_batch(self, window):
+        # The machine closes a window at every context switch and ISA
+        # operation, so each MHM's enabled/rounding state is constant
+        # across it and each core's stores fold through one kernel call.
+        self.hash_updates += len(window)
+        for core, columns in window_columns(window, BY_CORE).items():
+            self.mhms[core].on_store_batch(*columns, self.kernel)
 
     def on_free(self, core, tid, block, old_values):
         mhm = self.mhms[core]
@@ -83,7 +72,7 @@ class HwIncScheme(Scheme):
             old_values,
             [self._block_word_is_fp(block, offset)
              for offset in range(len(old_values))],
-            kernel=self.kernel)
+            self.kernel)
 
     # -- context switching --------------------------------------------------------------
 

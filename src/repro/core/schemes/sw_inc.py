@@ -2,7 +2,10 @@
 
 The same algebra as the hardware scheme, but the per-store work is done
 by instrumentation added to the code under test: read the old value of
-the destination, subtract its hash, add the hash of the new value.
+the destination, subtract its hash, add the hash of the new value.  The
+machine hands the scheme its hashed stores in windows; the scheme
+splits a window into per-thread columns and folds each thread's
+columns into its software hash through one hash-kernel call.
 
 The atomicity caveat is modeled mechanically.  In ``atomic=True`` mode
 the instrumentation executes atomically with the store (our serialized
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 from repro.core.hashing.mixers import DEFAULT_MIXER_NAME
 from repro.core.hashing.rounding import RoundingPolicy
-from repro.core.schemes.base import Scheme
+from repro.core.schemes.base import BY_TID, Scheme, window_columns
 from repro.sim.values import MASK64
 
 
@@ -31,9 +34,9 @@ class SwIncScheme(Scheme):
 
     def __init__(self, machine, allocator, mixer=DEFAULT_MIXER_NAME,
                  rounding: RoundingPolicy | None = None, atomic: bool = True,
-                 backend=None, batch_stores: bool | None = None):
+                 backend=None):
         super().__init__(machine, allocator, mixer, rounding,
-                         backend=backend, batch_stores=batch_stores)
+                         backend=backend)
         self.atomic = atomic
         #: Per-thread software hash accumulators (thread-local variables
         #: of the instrumented program; no synchronization needed).
@@ -43,55 +46,21 @@ class SwIncScheme(Scheme):
         self.machine.add_observer(self)
         # Non-atomic instrumentation: the old-value read is its own step.
         self.machine.store_split = not self.atomic
-        self._enable_store_batching()
-
-    def _round(self, value, is_fp: bool):
-        if is_fp and self.rounding.enabled:
-            return self.rounding.apply(value)
-        return value
-
-    def _term(self, address, value, is_fp):
-        return self.mixer.location_hash(address, self._round(value, is_fp))
 
     # -- write-path events -----------------------------------------------------------
 
-    def on_store(self, core, tid, address, old_value, new_value, is_fp, hashed):
-        # ``old_value`` is the instrumentation's captured read: the true
-        # old value in atomic mode, possibly stale in non-atomic mode.
-        if not hashed:
-            return
-        self.hash_updates += 1
-        th = self._thread_hash.get(tid, 0)
-        th = (th - self._term(address, old_value, is_fp)
-              + self._term(address, new_value, is_fp)) & MASK64
-        self._thread_hash[tid] = th
-        self.machine.counters.note("sw_inc_instrumented_stores")
-
-    def on_store_batch(self, events):
-        # A buffered window: group the hashed events by thread and fold
-        # each thread's run of stores through one kernel call.  The
-        # accounting (hash_updates, the instrumented-store note) totals
-        # exactly what the per-store path would have accumulated.
-        per_tid: dict = {}
-        n_hashed = 0
-        for core, tid, address, old_value, new_value, is_fp, hashed in events:
-            if not hashed:
-                continue
-            n_hashed += 1
-            per_tid.setdefault(tid, []).append(
-                (address, old_value, new_value, is_fp))
-        if not n_hashed:
-            return
-        self.hash_updates += n_hashed
+    def on_store_batch(self, window):
+        # Each thread's stores in the window fold through one kernel
+        # call.  An entry's old value is the instrumentation's captured
+        # read: the true old value in atomic mode, possibly stale in
+        # non-atomic mode.
+        self.hash_updates += len(window)
         rounding = self.rounding if self.rounding.enabled else None
-        for tid, entries in per_tid.items():
-            delta = self.kernel.store_delta(
-                self.mixer, rounding,
-                [e[0] for e in entries], [e[1] for e in entries],
-                [e[2] for e in entries], [e[3] for e in entries])
+        for tid, columns in window_columns(window, BY_TID).items():
+            delta = self.kernel.store_delta(self.mixer, rounding, *columns)
             self._thread_hash[tid] = (
                 self._thread_hash.get(tid, 0) + delta) & MASK64
-        self.machine.counters.note("sw_inc_instrumented_stores", n_hashed)
+        self.machine.counters.note("sw_inc_instrumented_stores", len(window))
 
     def on_free(self, core, tid, block, old_values):
         self.hash_updates += len(old_values)

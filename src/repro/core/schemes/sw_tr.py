@@ -30,7 +30,7 @@ class SwTrScheme(Scheme):
                  rounding: RoundingPolicy | None = None,
                  static_types: dict | None = None, backend=None):
         super().__init__(machine, allocator, mixer, rounding,
-                         backend=backend, batch_stores=False)
+                         backend=backend)
         # The table of allocated blocks with type information that the
         # paper's prototype maintains is exactly the allocator's live
         # table; the *maintenance* cost still belongs to this scheme and

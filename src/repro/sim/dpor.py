@@ -40,8 +40,8 @@ sets of each executed op (:func:`op_footprint`).  Store-buffer drains
 (:mod:`repro.sim.memmodel`) appear as scheduling actors with write
 footprints, so under ``tso``/``pso`` the *reorderings themselves* are
 branch points and DPOR steers straight into the delayed-visibility
-schedules random testing rarely finds (``benchmarks/bench_dpor.py``
-measures the gap).
+schedules random testing rarely finds (the gap is gated in
+``tests/sim/test_dpor.py``).
 
 Budget and resumability
 -----------------------

@@ -3,8 +3,16 @@
 All InstantCheck schemes hook the machine through the *write observer*
 interface — the single interception point that plays the role of both
 Pin's store instrumentation (software schemes) and the L1-controller MHM
-(hardware scheme): every store that updates memory reports
-``(core, tid, address, old_value, new_value, is_fp, hashed)``.
+(hardware scheme).  Every store that updates memory retires as
+``(core, tid, address, old_value, new_value, is_fp)``.  The hash
+schemes receive the hashed stores in *windows*: the machine appends
+each one to a list and hands the list over at the next flush point (a
+context switch, a free, a checkpoint, an MHM ISA operation, an
+observer attach/detach, or :data:`STORE_WINDOW_CAPACITY` stores).  In
+the paper's terms, the MHM may fold a core's retired stores into its TH
+register in any order or cluster because ⊕ commutes (Section 3.2); a
+window is one such cluster.  Observers that are not hash schemes (the
+L1 cache model) see every store, hashed or not, synchronously.
 
 ``old_value`` is read from memory *before* the update, mirroring how "a
 write access first brings the cache line with the current values into the
@@ -28,38 +36,35 @@ import random
 from repro.sim.counters import Counters
 from repro.sim.memory import Memory
 
+#: A store window closes at this many stores even without a sync point,
+#: bounding memory and keeping kernel calls sized for vectorization.
+STORE_WINDOW_CAPACITY = 4096
+
 
 class WriteObserver:
-    """Interface for schemes observing the machine."""
+    """Interface for schemes observing the machine.
 
-    #: Observers that set this True opt in to *batched* store delivery:
-    #: when the machine's ``store_batching`` flag is on, their store
-    #: events are buffered and delivered through :meth:`on_store_batch`
-    #: at the next flush point instead of one :meth:`on_store` call per
-    #: store.  Order-sensitive observers (e.g. the L1 cache model, whose
-    #: accesses must interleave with loads) leave this False and always
-    #: receive synchronous :meth:`on_store` calls.  Deferral is sound for
-    #: hash schemes because the AdHash sum is commutative — only
-    #: *inclusion before a read* matters, which the flush points
-    #: guarantee.
-    batch_stores = False
+    Stores reach an observer one of two ways, chosen by whether it
+    defines ``on_store_batch``:
+
+    * A *window* observer (every hash scheme) defines
+      ``on_store_batch(window)``.  The machine appends each hashed store
+      to one shared window and hands the window over at the next flush
+      point (:meth:`Machine.flush_stores`).  A window is a list of
+      ``(core, tid, address, old_value, new_value, is_fp)`` tuples in
+      retirement order; unhashed control stores never enter it.
+      Deferral is sound because the AdHash sum commutes: only
+      *inclusion before a read* matters, which the flush points
+      guarantee.
+    * Every other observer gets each store, hashed or not, through a
+      synchronous :meth:`on_store` call, so order-sensitive models (the
+      L1 cache model, whose accesses interleave with loads) see the
+      true access stream.
+    """
 
     def on_store(self, core: int, tid: int, address: int, old_value, new_value,
                  is_fp: bool, hashed: bool) -> None:
         """A store retired and updated the L1/memory."""
-
-    def on_store_batch(self, events) -> None:
-        """A buffered window of store events, in retirement order.
-
-        *events* is a list of ``(core, tid, address, old_value,
-        new_value, is_fp, hashed)`` tuples — exactly the arguments the
-        equivalent sequence of :meth:`on_store` calls would have
-        received.  The default replays them one by one, so opting in is
-        never observable; overrides fold the whole window through one
-        vectorized kernel call.
-        """
-        for event in events:
-            self.on_store(*event)
 
     def on_free(self, core: int, tid: int, block, old_values: list) -> None:
         """A heap block was freed; its words leave the hashable state."""
@@ -129,31 +134,23 @@ class Machine:
         #: When True the context layer splits instrumented stores into a
         #: separate old-value read step (SW-InstantCheck_Inc, non-atomic).
         self.store_split = False
-        #: When True, store events for opted-in observers (those with
-        #: ``batch_stores``) are buffered and delivered in windows via
-        #: ``on_store_batch`` at flush points; schemes with a vectorized
-        #: hash kernel turn this on when they attach.
-        self.store_batching = False
-        #: Buffered windows flush at this many events even without a
-        #: sync point, bounding memory and keeping kernel calls sized
-        #: for good vectorization.
-        self.store_batch_capacity = 4096
-        self._store_batch: list = []
-        # Cached split of the observer list by delivery style, refreshed
-        # on attach/detach so the store fast path avoids re-checking.
+        #: The open store window (see :class:`WriteObserver`).
+        self._store_window: list = []
+        # The observer list split by delivery style, refreshed on
+        # attach/detach so the store path avoids re-checking.
         self._sync_store_observers: list = []
-        self._any_batch_observers = False
+        self._window_observers: list = []
 
     @property
     def n_cores(self) -> int:
         return len(self.cores)
 
     def _refresh_observer_split(self) -> None:
+        self._window_observers = [
+            obs for obs in self.observers if hasattr(obs, "on_store_batch")]
         self._sync_store_observers = [
             obs for obs in self.observers
-            if not getattr(obs, "batch_stores", False)]
-        self._any_batch_observers = (
-            len(self._sync_store_observers) != len(self.observers))
+            if not hasattr(obs, "on_store_batch")]
 
     def add_observer(self, observer: WriteObserver) -> None:
         # A newly attached observer must not receive events from before
@@ -168,18 +165,19 @@ class Machine:
         self._refresh_observer_split()
 
     def flush_stores(self) -> None:
-        """Deliver the buffered store window to batch-capable observers.
+        """Close the store window and hand it to the window observers.
 
         Called at every sync point that makes buffered state observable:
         context-switch events, frees, checkpoints (via the schemes), MHM
-        ISA operations, and observer attach/detach.
+        ISA operations, observer attach/detach, and a window reaching
+        :data:`STORE_WINDOW_CAPACITY` stores.  So no window spans a
+        context switch or an ISA operation.
         """
-        if not self._store_batch:
+        if not self._store_window:
             return
-        events, self._store_batch = self._store_batch, []
-        for obs in self.observers:
-            if getattr(obs, "batch_stores", False):
-                obs.on_store_batch(events)
+        window, self._store_window = self._store_window, []
+        for obs in self._window_observers:
+            obs.on_store_batch(window)
 
     # -- thread placement ---------------------------------------------------------
 
@@ -286,17 +284,15 @@ class Machine:
         """
         old = self.memory.load(address)
         self.memory.store(address, value)
-        old_for_hash = captured_old if captured_old is not None else old
-        if self.store_batching and self._any_batch_observers:
-            event = (core, tid, address, old_for_hash, value, is_fp, hashed)
-            for obs in self._sync_store_observers:
-                obs.on_store(*event)
-            self._store_batch.append(event)
-            if len(self._store_batch) >= self.store_batch_capacity:
+        if captured_old is not None:
+            old = captured_old
+        for obs in self._sync_store_observers:
+            obs.on_store(core, tid, address, old, value, is_fp, hashed)
+        if hashed and self._window_observers:
+            window = self._store_window
+            window.append((core, tid, address, old, value, is_fp))
+            if len(window) >= STORE_WINDOW_CAPACITY:
                 self.flush_stores()
-            return
-        for obs in self.observers:
-            obs.on_store(core, tid, address, old_for_hash, value, is_fp, hashed)
 
     # -- store-buffer drains ---------------------------------------------------------
 
@@ -345,8 +341,8 @@ class Machine:
     def free_block(self, tid: int, block, old_values: list) -> None:
         """Notify observers that a block's words left the state."""
         # The freed words' subtraction terms and any buffered stores to
-        # them commute, but delivering in program order keeps every
-        # observer's view identical to the unbatched machine.
+        # them commute, but closing the window first keeps every
+        # observer's view in program order.
         self.flush_stores()
         core = self.core_of(tid)
         for obs in self.observers:

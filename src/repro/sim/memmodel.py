@@ -22,8 +22,8 @@ pseudo-tid next to the real runnable threads, so a reordering is itself
 a schedulable decision — random testing samples drain orders, and the
 DPOR scheduler (:mod:`repro.sim.dpor`) enumerates them.
 
-Drained stores retire through the machine's ordinary observer dispatch
-(``on_store`` / ``on_store_batch``), so all three InstantCheck schemes
+Drained stores retire through the machine's ordinary write path (the
+hash schemes' store window), so all three InstantCheck schemes
 and both hash backends see the *reordered* retirement stream.  That is
 the point: the mod-2^64 incremental hash must be invariant under any
 drain order of the same store multiset — the paper's Section 3.2 claim,

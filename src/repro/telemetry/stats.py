@@ -10,13 +10,12 @@ SW-Inc vs SW-Tr trade-off).
 
 from __future__ import annotations
 
-from repro.telemetry.registry import metric_key  # noqa: F401  (re-export)
 from repro.telemetry.sinks import (SUPPORTED_SCHEMA_VERSIONS,
                                    load_events_tolerant)
 
 
 def _parse_key(key: str) -> tuple[str, dict]:
-    """Invert :func:`metric_key`: ``name{k=v,...}`` -> (name, labels)."""
+    """Invert :func:`~repro.telemetry.registry.metric_key`: ``name{k=v,...}`` -> (name, labels)."""
     if "{" not in key:
         return key, {}
     name, _, rest = key.partition("{")

@@ -325,7 +325,6 @@ def test_mixer_batch_matches_scalar_bits_path(values):
 def test_python_backend_always_available():
     assert "python" in BACKENDS
     assert get_kernel("python").name == "python"
-    assert not get_kernel("python").vectorized
 
 
 def test_get_kernel_returns_singletons_and_passthrough():

@@ -81,14 +81,22 @@ class ScriptProgram(Program):
                 yield from ctx.barrier_wait(st.barrier)
 
 
+#: Every installed hash backend; the property tests below run each
+#: example once per backend.
+BACKENDS = available_backends()
+
+
 def run_all_schemes(program, seed=0, rounding=None, migrate_prob=0.0,
-                    clusters=1, drain="fifo"):
+                    clusters=1, drain="fifo", backend="auto"):
     rounding = rounding if rounding is not None else no_rounding()
     schemes = {
         "hw": SchemeConfig(kind="hw", rounding=rounding,
-                           n_clusters=clusters, drain_policy=drain),
-        "sw_inc": SchemeConfig(kind="sw_inc", rounding=rounding),
-        "sw_tr": SchemeConfig(kind="sw_tr", rounding=rounding),
+                           n_clusters=clusters, drain_policy=drain,
+                           backend=backend),
+        "sw_inc": SchemeConfig(kind="sw_inc", rounding=rounding,
+                               backend=backend),
+        "sw_tr": SchemeConfig(kind="sw_tr", rounding=rounding,
+                              backend=backend),
     }
     runner = Runner(program, scheme_factory=schemes,
                     control=InstantCheckControl(),
@@ -107,15 +115,19 @@ def assert_schemes_agree(record):
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(0, 10_000), run_seed=st.integers(0, 100))
 def test_schemes_agree_int_programs(seed, run_seed):
-    record = run_all_schemes(ScriptProgram(seed), seed=run_seed)
-    assert_schemes_agree(record)
+    for backend in BACKENDS:
+        record = run_all_schemes(ScriptProgram(seed), seed=run_seed,
+                                 backend=backend)
+        assert_schemes_agree(record)
 
 
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(0, 10_000))
 def test_schemes_agree_fp_programs_bitwise(seed):
-    record = run_all_schemes(ScriptProgram(seed, fp=True), seed=3)
-    assert_schemes_agree(record)
+    for backend in BACKENDS:
+        record = run_all_schemes(ScriptProgram(seed, fp=True), seed=3,
+                                 backend=backend)
+        assert_schemes_agree(record)
 
 
 @settings(max_examples=10, deadline=None)
@@ -123,21 +135,25 @@ def test_schemes_agree_fp_programs_bitwise(seed):
 def test_schemes_agree_fp_programs_rounded(seed):
     """FP rounding applies identically: by instruction (incremental) and
     by type annotation (traversal)."""
-    record = run_all_schemes(ScriptProgram(seed, fp=True), seed=5,
-                             rounding=default_policy())
-    assert_schemes_agree(record)
+    for backend in BACKENDS:
+        record = run_all_schemes(ScriptProgram(seed, fp=True), seed=5,
+                                 rounding=default_policy(), backend=backend)
+        assert_schemes_agree(record)
 
 
 @settings(max_examples=8, deadline=None)
 @given(seed=st.integers(0, 10_000))
 def test_migration_does_not_change_hashes(seed):
     """TH save/restore at context switches is transparent (Section 3.3)."""
-    base = run_all_schemes(ScriptProgram(seed), seed=11, migrate_prob=0.0)
-    migrated = run_all_schemes(ScriptProgram(seed), seed=11, migrate_prob=0.5)
-    # Same schedule seed, same scheduler => same interleaving; only the
-    # thread-to-core placement differs.
-    assert base.variant_hashes("hw") == migrated.variant_hashes("hw")
-    assert_schemes_agree(migrated)
+    for backend in BACKENDS:
+        base = run_all_schemes(ScriptProgram(seed), seed=11,
+                               migrate_prob=0.0, backend=backend)
+        migrated = run_all_schemes(ScriptProgram(seed), seed=11,
+                                   migrate_prob=0.5, backend=backend)
+        # Same schedule seed, same scheduler => same interleaving; only
+        # the thread-to-core placement differs.
+        assert base.variant_hashes("hw") == migrated.variant_hashes("hw")
+        assert_schemes_agree(migrated)
 
 
 @settings(max_examples=8, deadline=None)
@@ -146,10 +162,13 @@ def test_migration_does_not_change_hashes(seed):
        drain=st.sampled_from(["fifo", "lifo", "shuffle"]))
 def test_mhm_design_space_transparent(seed, clusters, drain):
     """Figure 3(b): clustering and drain order never change the hash."""
-    reference = run_all_schemes(ScriptProgram(seed), seed=2)
-    variant = run_all_schemes(ScriptProgram(seed), seed=2,
-                              clusters=clusters, drain=drain)
-    assert reference.variant_hashes("hw") == variant.variant_hashes("hw")
+    for backend in BACKENDS:
+        reference = run_all_schemes(ScriptProgram(seed), seed=2,
+                                    backend=backend)
+        variant = run_all_schemes(ScriptProgram(seed), seed=2,
+                                  clusters=clusters, drain=drain,
+                                  backend=backend)
+        assert reference.variant_hashes("hw") == variant.variant_hashes("hw")
 
 
 def test_free_removes_words_from_all_schemes():
@@ -166,9 +185,6 @@ def test_free_removes_words_from_all_schemes():
             yield from ctx.store(gone.base, 22)
             yield from ctx.free(gone.base)
 
-    record = run_all_schemes(FreeProgram(), seed=0)
-    assert_schemes_agree(record)
-
     class KeepOnly(Program):
         name = "keeponly"
 
@@ -180,31 +196,30 @@ def test_free_removes_words_from_all_schemes():
             yield from ctx.malloc(2, site="gone")  # never written
             yield from ctx.store(keep.base, 11)
 
-    reference = run_all_schemes(KeepOnly(), seed=0)
-    # Freed-and-written state hashes like never-written state.
-    assert record.hashes() == reference.hashes()
+    for backend in BACKENDS:
+        record = run_all_schemes(FreeProgram(), seed=0, backend=backend)
+        assert_schemes_agree(record)
+        reference = run_all_schemes(KeepOnly(), seed=0, backend=backend)
+        # Freed-and-written state hashes like never-written state.
+        assert record.hashes() == reference.hashes()
 
 
 # -- backend differential fuzz ---------------------------------------------------------
 #
-# The batched kernel datapath must be *observably absent*: whole checking
-# sessions under every backend, batched or unbatched, serial or parallel,
-# produce bit-identical checkpoint hash sequences, identical verdicts,
-# and identical hash-unit accounting.
-
-BACKENDS = available_backends()
+# The hash backend must be *observably absent*: whole checking sessions
+# under every backend, serial or parallel, produce bit-identical
+# checkpoint hash sequences, identical verdicts, and identical hash-unit
+# accounting.  The serial pure-Python session is the reference.
 
 
-def run_session(program, backend, workers=1, batch_stores=None, runs=3,
-                rounding=None):
+def run_session(program, backend, workers=1, runs=3, rounding=None):
     """One full checking session with all three schemes on *backend*."""
     rounding = rounding if rounding is not None else no_rounding()
     telemetry = Telemetry(MemorySink())
     config = CheckConfig(
         runs=runs, base_seed=77, workers=workers,
         schemes={kind: SchemeConfig(kind=kind, rounding=rounding,
-                                    backend=backend,
-                                    batch_stores=batch_stores)
+                                    backend=backend)
                  for kind in ("hw", "sw_inc", "sw_tr")})
     result = check_determinism(program, config, telemetry=telemetry)
     return result, telemetry
@@ -240,7 +255,7 @@ def test_sessions_identical_across_backends_and_workers(backend, workers,
     rounding = default_policy() if fp else no_rounding()
     reference, ref_tele = run_session(
         ScriptProgram(seed, fp=fp), backend="python", workers=1,
-        batch_stores=False, rounding=rounding)
+        rounding=rounding)
     variant, var_tele = run_session(
         ScriptProgram(seed, fp=fp), backend=backend, workers=workers,
         rounding=rounding)
@@ -262,27 +277,27 @@ def test_racy_program_verdict_identical_across_backends(backend):
                 yield from ctx.store(self.static_data + (i % 4),
                                      old + wid + 1)
 
-    reference, _ = run_session(RacyScript(3), backend="python",
-                               batch_stores=False, runs=6)
+    reference, _ = run_session(RacyScript(3), backend="python", runs=6)
     variant, _ = run_session(RacyScript(3), backend=backend, runs=6)
     assert session_fingerprint(variant) == session_fingerprint(reference)
 
 
-def test_hash_updates_parity_batched_vs_unbatched():
-    """Figure-6 accounting parity: forcing the batched store path must
-    leave every telemetry counter — the per-scheme hash_updates *and*
-    the instruction categories — exactly as the per-store path reports
-    them (regression for the batched-window accounting)."""
+@pytest.mark.skipif("numpy" not in BACKENDS,
+                    reason="numpy backend not installed")
+def test_hash_updates_parity_python_vs_numpy():
+    """Figure-6 accounting parity: the numpy backend must leave every
+    telemetry counter — the per-scheme hash_updates *and* the
+    instruction categories — exactly as the Python reference kernel
+    reports them."""
     program_seed = 11
 
-    def counters_for(batch_stores, backend):
+    def counters_for(backend):
         _, telemetry = run_session(ScriptProgram(program_seed, fp=True),
-                                   backend=backend, batch_stores=batch_stores,
-                                   rounding=default_policy())
+                                   backend=backend, rounding=default_policy())
         snapshot = telemetry.registry.snapshot()["counters"]
         return {key: count for key, count in snapshot.items()
                 if key.startswith(("scheme_hash_updates", "instructions"))}
 
-    unbatched = counters_for(batch_stores=False, backend="python")
-    for backend in BACKENDS:
-        assert counters_for(batch_stores=True, backend=backend) == unbatched
+    python = counters_for("python")
+    assert any(key.startswith("scheme_hash_updates") for key in python)
+    assert counters_for("numpy") == python

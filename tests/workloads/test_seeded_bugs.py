@@ -31,22 +31,22 @@ def test_seeded_bug_detected(app):
 @pytest.mark.skipif(not has_numpy(), reason="numpy backend not installed")
 @pytest.mark.parametrize("app,bug", SEEDED_BUGS)
 def test_seeded_bug_detected_under_numpy_batched_path(app, bug):
-    """Catch-rate meta-test: the vectorized kernel + batched store
-    window must flag every Table 2 bug with the same verdict class (a
-    nondeterministic session, not a crash) as the scalar datapath."""
+    """Catch-rate meta-test: the numpy kernel must flag every Table 2
+    bug with the same verdict class (a nondeterministic session, not a
+    crash) as the pure-Python reference kernel."""
     result = check_determinism(
         seeded_program(app), runs=12,
         schemes={"r": SchemeConfig(kind="hw", rounding=default_policy(),
-                                   backend="numpy", batch_stores=True)})
+                                   backend="numpy")})
     assert result.outcome == OUTCOME_NONDETERMINISTIC, (app, bug)
     verdict = result.verdict("r")
     assert not verdict.deterministic
     assert verdict.first_ndet_run is not None
-    # Same detection point as the scalar reference session.
+    # Same detection point as the reference session.
     scalar = check_determinism(
         seeded_program(app), runs=12,
         schemes={"r": SchemeConfig(kind="hw", rounding=default_policy(),
-                                   backend="python", batch_stores=False)})
+                                   backend="python")})
     assert verdict.first_ndet_run == scalar.verdict("r").first_ndet_run
     assert (verdict.n_det_points, verdict.n_ndet_points) == (
         scalar.verdict("r").n_det_points, scalar.verdict("r").n_ndet_points)
