@@ -1,10 +1,10 @@
 """Coordinator-transport cost: the socket fleet vs the local pool.
 
-Every executor backend is a ``Transport`` driven by one async
-scheduling loop.  This benchmark runs the same session on the
-``serial`` backend, the local ``process-pool`` and the ``socket``
-fleet — a hub plus real ``repro worker`` subprocesses on loopback —
-and fails unless all three verdicts are bit-identical.  The wall-clock
+The fan-out backends are ``Transport``s driven by one async scheduling
+loop; ``serial`` is a plain inline loop.  This benchmark runs the same
+session on the ``serial`` backend, the local ``process-pool`` and the
+``socket`` fleet — a hub plus real ``repro worker`` subprocesses on
+loopback — and fails unless all three verdicts are bit-identical.  The wall-clock
 rows are informational: socket adds serialization and TCP hops by
 design; it buys distribution, not local speed.
 
@@ -76,7 +76,7 @@ def measure(app: str = DEFAULT_APP, runs: int = DEFAULT_RUNS,
         elif verdict != reference:
             raise AssertionError(
                 f"{app}: verdict on {executor!r} differs from serial — "
-                f"the coordinator transport broke bit-identity")
+                f"the pool fan-out broke bit-identity")
         rows[executor] = {"wall_s": round(wall, 4)}
 
     if with_socket:

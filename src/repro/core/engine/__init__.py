@@ -6,15 +6,14 @@ sessions, campaigns — is one instantiation of the same pipeline:
 * a :class:`~repro.core.engine.plan.SessionPlan` resolves a
   :class:`~repro.core.engine.model.CheckConfig` into what execution
   needs (scheme variants, retry/budget policy, worker topology);
-* the transport-agnostic :class:`~repro.core.engine.coordinator.
-  Coordinator` drives the batch through a
-  :class:`~repro.core.engine.transports.Transport` — inline
-  (``serial``), the local process pool (``process-pool``), or the
-  socket worker fleet (``socket``, docs/distributed.md) — streaming
-  completed runs back in completion order behind one interface.  A
-  session imports only the backend it runs: the socket module loads
-  when that backend is chosen (``SocketTransport`` and ``WorkerHub``
-  are re-exported here lazily);
+* a serial session is one plain loop
+  (:func:`~repro.core.engine.session.run_inline`), shared with the
+  pool's record phase; the fan-out backends — ``process-pool`` and
+  ``socket`` (docs/distributed.md) — are
+  :class:`~repro.core.engine.transports.Transport` classes driven by
+  the :class:`~repro.core.engine.coordinator.Coordinator`.  A session
+  imports only the backend it runs (the coordinator, transports and
+  sockets are re-exported here lazily);
 * an incremental :class:`~repro.core.engine.judge.Judge` folds each
   run's checkpoint-hash sequence into the verdict as it arrives and can
   issue a cancel signal — ``stop_on_first`` cancels outstanding work
@@ -25,10 +24,7 @@ The public checker modules (``repro.core.checker.runner`` /
 verdicts are unchanged.  See docs/architecture.md.
 """
 
-from repro.core.engine.coordinator import Coordinator, Feedback, coordinate
 from repro.core.engine.executors import resolve_workers
-from repro.core.engine.transports import (InlineTransport,
-                                          ProcessPoolTransport, Transport)
 from repro.core.engine.judge import (Judge, first_divergent_run, make_verdict,
                                      record_key)
 from repro.core.engine.model import (OUTCOME_CRASH_DIVERGENCE,
@@ -52,12 +48,17 @@ __all__ = [
     "error_outcome",
     "SessionPlan", "Judge", "first_divergent_run", "make_verdict",
     "record_key", "resolve_workers", "execute_session", "execute_campaign",
-    "Coordinator", "Feedback", "coordinate", "Transport", "InlineTransport",
+    "Coordinator", "Feedback", "coordinate", "Transport",
     "ProcessPoolTransport", "SocketTransport", "WorkerHub",
 ]
 
 #: Re-exports whose modules load on first access (module ``__getattr__``).
 _DEFERRED = {
+    "Coordinator": "repro.core.engine.coordinator",
+    "Feedback": "repro.core.engine.coordinator",
+    "coordinate": "repro.core.engine.coordinator",
+    "Transport": "repro.core.engine.transports",
+    "ProcessPoolTransport": "repro.core.engine.transports",
     "SocketTransport": "repro.core.engine.sockets",
     "WorkerHub": "repro.core.engine.sockets",
 }

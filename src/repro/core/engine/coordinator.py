@@ -1,16 +1,16 @@
-"""The transport-agnostic coordinator: one async scheduling loop.
+"""The transport-agnostic coordinator: the fan-out scheduling loop.
 
-Every backend — serial, the local process pool, the socket worker
-fleet — is driven by the same loop: submit the task batch through a
-:class:`~repro.core.engine.transports.Transport`, await results in
-completion order, fold each one into the caller's *feedback* object
-(the incremental judge for sessions, the outcome recorder for
-campaigns), and steer cancellation:
+The two fan-out backends — the local process pool and the socket
+worker fleet — are driven by the same loop: submit the task batch
+through a :class:`~repro.core.engine.transports.Transport`, await
+results in completion order, fold each one into the caller's
+*feedback* object (the incremental judge for sessions, the outcome
+recorder for campaigns), and steer cancellation:
 
 * **judge-driven** — ``stop_on_first`` saw a divergence: cancel with
   the divergence floor (work at or below it still completes, so the
   truncated verdict stays bit-identical to serial), then announce the
-  early exit as a ``session_cancelled`` telemetry event;
+  early exit with :func:`announce_cancelled`;
 * **budget-driven** — the session deadline expired: cancel everything
   outstanding (it would only expire against the same deadline), no
   announcement — expiry is the budget's event, not the user's ask.
@@ -18,15 +18,15 @@ campaigns), and steer cancellation:
 The coordinator owns no backend specifics: retry rides inside the task
 functions (:func:`~repro.core.engine.tasks.attempt_run`, applied where
 the run executes), deadlines travel to the transport, and the feedback
-object owns verdict state.  Transports that need an event loop get one:
-:func:`coordinate` runs the loop to completion on a private loop, so
-synchronous entry points (the CLI, ``check_determinism``) stay
-synchronous while the scheduling core is natively ``asyncio``.
+object owns verdict state.  :func:`coordinate` runs the loop to
+completion on a private event loop, so synchronous entry points (the
+CLI, ``check_determinism``) stay synchronous.  It imports
+:mod:`asyncio` itself: the serial session (a plain loop in
+:mod:`repro.core.engine.session`) imports this module but never
+loads asyncio.
 """
 
 from __future__ import annotations
-
-import asyncio
 
 
 class Feedback:
@@ -83,11 +83,20 @@ class Coordinator:
             raise
         finally:
             await transport.close()
-        if self.stop_cancelled and self.tele:
-            self.tele.event("session_cancelled", program=self.program_name,
-                            backend=transport.name, **feedback.progress(),
-                            cancelled=transport.cancelled_count)
-            self.tele.registry.counter("sessions_cancelled").inc()
+        if self.stop_cancelled:
+            announce_cancelled(self.tele, self.program_name, transport.name,
+                               feedback.progress(),
+                               transport.cancelled_count)
+
+
+def announce_cancelled(tele, program_name, backend: str, progress: dict,
+                       cancelled: int) -> None:
+    """Emit ``session_cancelled`` (consumers rely on its field order)
+    and count it in ``sessions_cancelled``; every backend calls this."""
+    if tele:
+        tele.event("session_cancelled", program=program_name,
+                   backend=backend, **progress, cancelled=cancelled)
+        tele.registry.counter("sessions_cancelled").inc()
 
 
 def coordinate(coro):
@@ -99,6 +108,8 @@ def coordinate(coro):
     cancelled and awaited so every transport's ``finally`` (worker
     teardown, socket close) runs before the exception continues.
     """
+    import asyncio
+
     loop = asyncio.new_event_loop()
     task = None
     try:
@@ -121,6 +132,8 @@ def coordinate(coro):
 
 def _drain_pending(loop) -> None:
     """Cancel and await whatever the transport left on the loop."""
+    import asyncio
+
     pending = [t for t in asyncio.all_tasks(loop) if not t.done()]
     if not pending:
         return

@@ -1,17 +1,18 @@
 """Executor backends: the catalog and its resolution.
 
-Every backend is a :class:`~repro.core.engine.transports.Transport`
-that the engine's :class:`~repro.core.engine.coordinator.Coordinator`
-drives — submit a batch, fold results in completion order, cancel
-mid-stream on the judge's early-exit signal:
-
-* ``serial`` — :class:`~repro.core.engine.transports.InlineTransport`
-  runs tasks inline, in index order;
+* ``serial`` — :func:`~repro.core.engine.session.serial_session` runs
+  every run inline, in index order, in one plain loop;
 * ``process-pool`` — :class:`~repro.core.engine.transports.
-  ProcessPoolTransport` fans tasks across a local process pool;
+  ProcessPoolTransport` fans runs across a local process pool;
 * ``socket`` — :class:`~repro.core.engine.sockets.SocketTransport`
   dispatches runs to ``repro worker`` processes, possibly on other
   machines (docs/distributed.md).
+
+The two fan-out backends are
+:class:`~repro.core.engine.transports.Transport` classes that the
+engine's :class:`~repro.core.engine.coordinator.Coordinator` drives —
+submit a batch, fold results in completion order, cancel mid-stream on
+the judge's early-exit signal.
 
 The worker task functions live in :mod:`repro.core.engine.tasks` and
 the heartbeat plane in :mod:`repro.core.engine.heartbeat`.
@@ -48,12 +49,12 @@ def resolve_workers(workers) -> int:
 
 #: The executor-backend registry (the 9th catalog family).  Each
 #: backend's module is imported when its name is first looked up, not
-#: with this module: a serial session never loads the socket code.
-#: Registration order is the listing order.
+#: with this module: a serial session never loads the pool or socket
+#: code.  Registration order is the listing order.
 EXECUTORS = Registry("executors", error=CheckerError,
                      what="executor backend")
 EXECUTORS.register_deferred(
-    "serial", "repro.core.engine.transports:InlineTransport")
+    "serial", "repro.core.engine.session:serial_session")
 EXECUTORS.register_deferred(
     "process-pool", "repro.core.engine.transports:ProcessPoolTransport")
 EXECUTORS.register_deferred(

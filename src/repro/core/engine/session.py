@@ -3,27 +3,31 @@
 :func:`execute_session` is the engine's front door for one
 determinism-checking session: it expands the config into a
 :class:`~repro.core.engine.plan.SessionPlan`, picks the executor
-backend from the resolved worker topology, streams completed runs into
+backend from the resolved worker topology, folds completed runs into
 an incremental :class:`~repro.core.engine.judge.Judge`, and lets the
-judge cancel outstanding work (``stop_on_first``) or react to budget
-exhaustion — one control flow for every backend.  A judge-driven
-cancellation is observable as a ``session_cancelled`` telemetry event
-(and the ``sessions_cancelled`` counter).
+judge stop outstanding work (``stop_on_first``) or react to budget
+exhaustion.  A serial session is one plain loop, :func:`run_inline`:
+attempt a run, fold it, steer.  The pool's record phase runs the same
+loop before the remaining runs fan out through the coordinator.  A
+judge-driven early exit is announced as a ``session_cancelled``
+telemetry event (and the ``sessions_cancelled`` counter) on every
+backend.
 
-:func:`execute_campaign` drives one session per input point with the
-same machinery: pending inputs become executor tasks (serial loop or
-process-pool fan-out across inputs), and every outcome funnels through
-one merge hook — journal append + ``input_verdict`` event — regardless
-of backend.
+:func:`execute_campaign` drives one session per input point.  Pending
+inputs are checked one at a time (:func:`check_input`, the same check
+a pool worker runs) or fanned out across a process pool, and every
+outcome funnels through one merge hook — journal append +
+``input_verdict`` event — regardless of backend.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.core.engine.coordinator import Coordinator, Feedback, coordinate
-from repro.core.engine.executors import (CRASHED, resolve_executor,
-                                         resolve_workers)
+from repro.core.engine.coordinator import (Coordinator, Feedback,
+                                           announce_cancelled, coordinate)
+from repro.core.engine.executors import (CRASHED, EXECUTORS,
+                                         resolve_executor, resolve_workers)
 from repro.core.engine.judge import Judge
 from repro.core.engine.model import (OUTCOME_ERROR, CampaignResult,
                                      error_outcome, outcome_from_result)
@@ -31,7 +35,6 @@ from repro.core.engine.plan import SessionPlan
 from repro.core.engine.tasks import (attempt_run, campaign_input_worker,
                                      crash_failure, merge_worker_telemetry,
                                      require_picklable, session_run_worker)
-from repro.core.engine.transports import InlineTransport, ProcessPoolTransport
 from repro.errors import ReproError, SessionInterrupted, WorkerCrashError
 
 
@@ -57,6 +60,57 @@ def execute_session(program, config, telemetry=None):
             tele.end_span(span)
 
 
+def fold_attempt(judge, index: int, record, failure, expired: bool) -> None:
+    """Fold one :func:`~repro.core.engine.tasks.attempt_run` result."""
+    if expired:
+        judge.fold_expired()
+    elif failure is not None:
+        judge.fold_failure(index, failure)
+    else:
+        judge.fold_record(index, record)
+
+
+def run_inline(plan, judge, runner, budget, tele, until=None) -> int:
+    """Run the session's runs in index order, in this process.
+
+    Each run is attempted (retry policy included), folded into *judge*,
+    then steered: budget expiry stops the loop; a ``stop_on_first``
+    divergence stops it and announces the runs never started as
+    cancelled.  *until*, if given, is asked before each run and ends
+    the loop when true.  Returns the index of the first run not
+    started.
+    """
+    config = plan.config
+    for index in range(config.runs):
+        if until is not None and until():
+            return index
+        if budget.expired():
+            judge.fold_expired()
+            return index
+        record, failure, expired = attempt_run(
+            runner, budget, plan.retry, config, tele, index)
+        fold_attempt(judge, index, record, failure, expired)
+        if judge.should_cancel():
+            announce_cancelled(tele, plan.program.name, "serial",
+                               {"completed": len(judge.completed),
+                                "failed": len(judge.failed)},
+                               config.runs - index - 1)
+            return index + 1
+        if judge.budget_exhausted:
+            return index + 1
+    return config.runs
+
+
+def serial_session(plan: SessionPlan, tele):
+    """Execute every scheduled run inline, in index order."""
+    control = plan.make_control()
+    runner = plan.make_runner(control, tele)
+    budget = plan.new_budget()
+    judge = Judge(plan, tele)
+    run_inline(plan, judge, runner, budget, tele)
+    return judge.finalize(workers=1)
+
+
 class SessionFeedback(Feedback):
     """The judge as the coordinator's feedback: fold results, steer.
 
@@ -67,28 +121,22 @@ class SessionFeedback(Feedback):
     early exit a user asked for, not an error path.
     """
 
-    def __init__(self, plan, judge, tele, seen_pids=None):
+    def __init__(self, plan, judge, tele):
         self.plan = plan
         self.judge = judge
         self.tele = tele
-        self.seen_pids = seen_pids
+        self.seen_pids: set = set()
 
     def fold(self, index: int, value) -> None:
-        """Fold one transport result — run record, failure, crash, or
+        """Fold one worker result — run record, failure, crash, or
         budget-expiry marker — into the judge."""
-        judge = self.judge
         if value is CRASHED:
-            judge.fold_failure(index, crash_failure(
+            self.judge.fold_failure(index, crash_failure(
                 self.plan.config, index, f"run {index + 1}"))
             return
-        if self.seen_pids is not None:
-            merge_worker_telemetry(self.tele, value, self.seen_pids)
-        if value["expired"]:
-            judge.fold_expired()
-        elif value["failure"] is not None:
-            judge.fold_failure(index, value["failure"])
-        else:
-            judge.fold_record(index, value["record"])
+        merge_worker_telemetry(self.tele, value, self.seen_pids)
+        fold_attempt(self.judge, index, value["record"], value["failure"],
+                     value["expired"])
 
     def should_cancel(self) -> bool:
         return self.judge.should_cancel()
@@ -104,37 +152,6 @@ class SessionFeedback(Feedback):
                 "failed": len(self.judge.failed)}
 
 
-def _drive(plan, judge, transport, tasks, tele, seen_pids=None) -> None:
-    """One session batch through the coordinator's scheduling loop."""
-    feedback = SessionFeedback(plan, judge, tele, seen_pids)
-    coordinator = Coordinator(transport, feedback, tele,
-                              program_name=plan.program.name)
-    coordinate(coordinator.run(tasks))
-
-
-def serial_session(plan: SessionPlan, tele):
-    """Execute every scheduled run inline, in index order."""
-    config = plan.config
-    control = plan.make_control()
-    runner = plan.make_runner(control, tele)
-    budget = plan.new_budget()
-    judge = Judge(plan, tele)
-
-    def task_for(index):
-        def task():
-            if budget.expired():
-                return {"record": None, "failure": None, "expired": True}
-            record, failure, session_expired = attempt_run(
-                runner, budget, plan.retry, config, tele, index)
-            return {"record": record, "failure": failure,
-                    "expired": session_expired}
-        return task
-
-    tasks = {index: task_for(index) for index in range(config.runs)}
-    _drive(plan, judge, InlineTransport(), tasks, tele)
-    return judge.finalize(workers=1)
-
-
 def pool_session(plan: SessionPlan, tele, backend: str = "process-pool"):
     """Execute the session across a process pool.
 
@@ -147,6 +164,9 @@ def pool_session(plan: SessionPlan, tele, backend: str = "process-pool"):
     ``process-pool`` or ``socket`` (the ``repro worker`` fleet).
     """
     require_picklable(program=plan.program, config=plan.config)
+    # Load the transport's module before the first run, so its import
+    # is set-up time, not run time.
+    transport_cls = EXECUTORS[backend]
     config = plan.config
     control = plan.make_control()
     runner = plan.make_runner(control, tele)
@@ -155,21 +175,8 @@ def pool_session(plan: SessionPlan, tele, backend: str = "process-pool"):
 
     # Phase 1 — the record run (serial, in the parent).  It also pins
     # the judge's reference: the lowest-index record always folds first.
-    index = 0
-    while index < config.runs and not control.malloc_log.recorded:
-        if budget.expired():
-            judge.fold_expired()
-            break
-        record, failure, session_expired = attempt_run(
-            runner, budget, plan.retry, config, tele, index)
-        if session_expired:
-            judge.fold_expired()
-            break
-        if failure is not None:
-            judge.fold_failure(index, failure)
-        else:
-            judge.fold_record(index, record)
-        index += 1
+    index = run_inline(plan, judge, runner, budget, tele,
+                       until=lambda: control.malloc_log.recorded)
 
     # Phase 2 — replayed runs, fanned out across the pool or the
     # socket worker fleet.
@@ -177,16 +184,15 @@ def pool_session(plan: SessionPlan, tele, backend: str = "process-pool"):
     if remaining:
         telemetry_on = tele is not None
         deadline = budget.session_deadline
+        transport = transport_cls(plan.n_workers, deadline=deadline,
+                                  telemetry=tele)
         if backend == "socket":
             # Socket tasks are wire descriptors: the program travels by
             # registry name, data payloads as blobs (repro.core.engine
             # .wire); the hub stamps each run's remaining deadline at
             # dispatch time.
             from repro.core.engine import wire
-            from repro.core.engine.sockets import SocketTransport
 
-            transport = SocketTransport(plan.n_workers, deadline=deadline,
-                                        telemetry=tele)
             spec = wire.program_spec(plan.program)
             config_blob = wire.pack_blob(config)
             malloc_blob = wire.pack_blob(control.malloc_log)
@@ -198,15 +204,15 @@ def pool_session(plan: SessionPlan, tele, backend: str = "process-pool"):
                 for i in remaining
             }
         else:
-            transport = ProcessPoolTransport(
-                plan.n_workers, deadline=deadline, telemetry=tele)
             tasks = {
                 i: (session_run_worker,
                     (plan.program, config, i, deadline,
                      control.malloc_log, control.libcall_log, telemetry_on))
                 for i in remaining
             }
-        _drive(plan, judge, transport, tasks, tele, seen_pids=set())
+        feedback = SessionFeedback(plan, judge, tele)
+        coordinate(Coordinator(transport, feedback, tele,
+                               program_name=plan.program.name).run(tasks))
         if transport.expired:
             judge.fold_expired()
     return judge.finalize(workers=plan.n_workers)
@@ -215,33 +221,39 @@ def pool_session(plan: SessionPlan, tele, backend: str = "process-pool"):
 # -- campaigns ----------------------------------------------------------------
 
 
-def record_input_outcome(outcome, point, journal, tele, program_name) -> None:
-    """The single merge hook every completed input passes through.
+def check_input(program_factory, point, config, telemetry=None):
+    """Check one campaign input: build its program, run its session.
 
-    The parent is the journal's only writer (workers return outcomes;
-    only the lock owner appends), and the ``input_verdict`` event is
-    emitted from exactly one place for both backends.
+    Returns ``(outcome, program_name)``.  A session that raises a
+    :class:`~repro.errors.ReproError` becomes an ``error`` outcome; a
+    shutdown signal is re-raised — it stops the whole campaign, and the
+    journal keeps the inputs completed so far for ``--resume``.
+    *program_name* is None if the factory itself raised.
     """
-    if journal is not None:
-        journal.append_outcome(outcome)
-    if tele:
-        tele.event("input_verdict", program=program_name,
-                   input=point.name, outcome=outcome.outcome,
-                   deterministic=outcome.deterministic,
-                   det_at_end=outcome.det_at_end,
-                   n_ndet_points=outcome.n_ndet_points)
+    program_name = None
+    try:
+        program = program_factory(**point.params)
+        program_name = program.name
+        result = execute_session(program, config, telemetry=telemetry)
+        return outcome_from_result(point, result), program_name
+    except SessionInterrupted:
+        raise
+    except ReproError as exc:
+        return (error_outcome(point, type(exc).__name__, str(exc)),
+                program_name)
 
 
 class CampaignFeedback(Feedback):
-    """The campaign's merge hook as coordinator feedback.
+    """The campaign's merge hook: :meth:`record` for the serial loop,
+    :meth:`fold` for the coordinator.
 
     Campaigns never cancel mid-fleet (every input gets its verdict), so
-    only :meth:`fold` is interesting: crash attribution, telemetry
-    merge, and the single journal/event funnel per completed input.
+    :meth:`fold` only attributes crashes and merges worker telemetry
+    before handing the outcome to :meth:`record`.
     """
 
-    def __init__(self, by_position, journal, tele):
-        self.by_position = by_position
+    def __init__(self, points: dict, journal, tele):
+        self.points = points  # position -> InputPoint
         self.journal = journal
         self.tele = tele
         self.outcomes: dict = {}
@@ -249,47 +261,62 @@ class CampaignFeedback(Feedback):
         self.program_name = None
 
     def fold(self, pos: int, value) -> None:
-        point = self.by_position[pos]
         if value is CRASHED:
-            outcome = error_outcome(
+            point = self.points[pos]
+            self.record(pos, error_outcome(
                 point, WorkerCrashError.__name__,
                 f"worker process checking input {point.name!r} "
-                f"died unexpectedly")
-        else:
-            merge_worker_telemetry(self.tele, value, self.seen_pids)
-            outcome = value["outcome"]
-            if value.get("program"):
-                self.program_name = value["program"]
-        if self.tele and outcome.outcome == OUTCOME_ERROR:
-            self.tele.event("input_error", input=point.name,
-                            error=outcome.error,
-                            message=outcome.error_message)
+                f"died unexpectedly"))
+            return
+        merge_worker_telemetry(self.tele, value, self.seen_pids)
+        self.record(pos, value["outcome"], value.get("program"))
+
+    def record(self, pos: int, outcome, program_name=None) -> None:
+        """The single merge hook every completed input passes through.
+
+        The parent is the journal's only writer (workers return
+        outcomes; only the lock owner appends), and the
+        ``input_error``/``input_verdict`` events are emitted from
+        exactly one place for every backend.
+        """
+        if program_name:
+            self.program_name = program_name
+        point, tele = self.points[pos], self.tele
+        if tele and outcome.outcome == OUTCOME_ERROR:
+            tele.event("input_error", input=point.name, error=outcome.error,
+                       message=outcome.error_message)
         self.outcomes[pos] = outcome
-        record_input_outcome(outcome, point, self.journal, self.tele,
-                             self.program_name)
+        if self.journal is not None:
+            self.journal.append_outcome(outcome)
+        if tele:
+            tele.event("input_verdict", program=self.program_name,
+                       input=point.name, outcome=outcome.outcome,
+                       deterministic=outcome.deterministic,
+                       det_at_end=outcome.det_at_end,
+                       n_ndet_points=outcome.n_ndet_points)
 
 
-def fan_out_campaign(program_factory, points, config, tele, journal,
+def fan_out_campaign(program_factory, points, config, feedback,
                      n_workers: int, total=None,
-                     backend: str = "process-pool"):
+                     backend: str = "process-pool") -> None:
     """Fan campaign inputs across worker processes.
 
     *points* is ``[(position, InputPoint), ...]`` — the inputs still to
     run, keyed by their position in the campaign's input list so the
-    merged outcomes keep input order.  Returns ``(outcomes, name)``
-    with *outcomes* mapping position -> ``InputOutcome``.  *backend*
-    picks the fan-out flavor: the process pool (default) or the socket
-    worker fleet.
+    merged outcomes keep input order.  Every outcome lands in
+    *feedback* (a :class:`CampaignFeedback`).  *backend* picks the
+    fan-out flavor: the process pool (default) or the socket worker
+    fleet.
     """
+    transport_cls = EXECUTORS[backend]
+    tele = feedback.tele
     # Campaign parallelism is across inputs, never nested: each worker
     # runs its session serially, so an explicit pool executor in the
     # config must not force a pool *inside* a pool worker.
     worker_config = replace(config, workers=1, executor="auto")
     telemetry_on = tele is not None
-    by_position = dict(points)
     if backend == "socket":
         from repro.core.engine import wire
-        from repro.core.engine.sockets import SocketTransport
 
         factory_spec = wire.factory_spec(program_factory)
         config_blob = wire.pack_blob(worker_config)
@@ -297,21 +324,17 @@ def fan_out_campaign(program_factory, points, config, tele, journal,
                        "index": pos, "point": wire.pack_blob(point),
                        "config": config_blob, "telemetry": telemetry_on}
                  for pos, point in points}
-        transport = SocketTransport(n_workers, telemetry=tele)
     else:
         require_picklable(program_factory=program_factory, config=config)
         tasks = {pos: (campaign_input_worker,
                        (program_factory, point, worker_config, telemetry_on))
                  for pos, point in points}
-        transport = ProcessPoolTransport(n_workers, telemetry=tele)
+    transport = transport_cls(n_workers, telemetry=tele)
     if tele:
         for pos, point in points:
             tele.event("progress", kind="input", input=point.name,
                        index=pos, total=total)
-
-    feedback = CampaignFeedback(by_position, journal, tele)
     coordinate(Coordinator(transport, feedback, tele).run(tasks))
-    return feedback.outcomes, feedback.program_name
 
 
 def execute_campaign(program_factory, inputs, config, telemetry=None,
@@ -347,7 +370,6 @@ def execute_campaign(program_factory, inputs, config, telemetry=None,
             if tele else None)
     try:
         resumed_inputs = []
-        program_name = None
         by_position: dict = {}
         pending = []
         if journal is not None:
@@ -363,6 +385,7 @@ def execute_campaign(program_factory, inputs, config, telemetry=None,
             else:
                 pending.append((index, point))
 
+        feedback = CampaignFeedback(dict(pending), journal, tele)
         if n_workers > 1 and len(pending) > 1:
             # The fan-out backend follows the executor knob, except
             # that ``serial`` has no meaning *across* inputs and maps
@@ -370,39 +393,21 @@ def execute_campaign(program_factory, inputs, config, telemetry=None,
             backend = resolve_executor(config.executor, n_workers)
             if backend == "serial":
                 backend = "process-pool"
-            fanned, program_name = fan_out_campaign(
-                program_factory, pending, config, tele, journal, n_workers,
-                total=len(inputs), backend=backend)
-            by_position.update(fanned)
+            fan_out_campaign(program_factory, pending, config, feedback,
+                             n_workers, total=len(inputs), backend=backend)
         else:
             # Serial loop.  With a single pending input the campaign
             # stays serial and lets the session itself parallelize.
             for index, point in pending:
                 if tele:
                     tele.event("progress", kind="input",
-                               program=program_name, input=point.name,
-                               index=index, total=len(inputs))
-                try:
-                    program = program_factory(**point.params)
-                    program_name = program.name
-                    result = execute_session(program, config,
-                                             telemetry=telemetry)
-                    outcome = outcome_from_result(point, result)
-                except SessionInterrupted:
-                    # A shutdown signal stops the whole campaign; the
-                    # journal (released in the finally below) keeps the
-                    # inputs completed so far for --resume.
-                    raise
-                except ReproError as exc:
-                    outcome = error_outcome(point, type(exc).__name__,
-                                            str(exc))
-                    if tele:
-                        tele.event("input_error", input=point.name,
-                                   error=outcome.error,
-                                   message=outcome.error_message)
-                by_position[index] = outcome
-                record_input_outcome(outcome, point, journal, tele,
-                                     program_name)
+                               program=feedback.program_name,
+                               input=point.name, index=index,
+                               total=len(inputs))
+                feedback.record(index, *check_input(
+                    program_factory, point, config, telemetry))
+        by_position.update(feedback.outcomes)
+        program_name = feedback.program_name
         outcomes = [by_position[i] for i in sorted(by_position)]
         if tele and span is not None:
             span.set(program=program_name or "?",

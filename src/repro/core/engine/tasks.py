@@ -1,13 +1,14 @@
 """Worker-side task functions and the run-attempt/telemetry protocol.
 
-Every backend — the serial loop, the process pool, the socket worker
-fleet — executes runs through the same two task functions:
+Every run, on every backend, goes through :func:`attempt_run`, which
+applies the retry policy where the run executes: the serial loop calls
+it inline, and the fan-out backends (the process pool, the socket
+worker fleet) call it from two task functions —
 :func:`session_run_worker` (one scheduled run of a session) and
 :func:`campaign_input_worker` (one full serial session for a campaign
-input).  Both rebuild the whole stack from picklable inputs, apply the
-retry policy locally via :func:`attempt_run`, and return a plain dict
-the parent folds — which is also exactly what travels over the socket
-transport's result frames (docs/distributed.md).
+input).  Both rebuild the whole stack from picklable inputs and return
+a plain dict the parent folds — which is also exactly what travels
+over the socket transport's result frames (docs/distributed.md).
 
 The worker-telemetry merge protocol lives here too: the parent
 re-emits each worker's buffered events tagged with the worker's pid
@@ -17,7 +18,6 @@ task) and merges metric snapshots into the session registry.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import pickle
 import threading
@@ -28,15 +28,6 @@ from repro.core.checker.policies import SessionBudget
 from repro.core.engine.heartbeat import _HB_STATE, _beat_loop, note_worker_progress
 from repro.errors import (BudgetError, CheckerError, ReproError,
                           SessionInterrupted, WorkerCrashError)
-
-
-def _mp_context():
-    """Fork where available: cheapest start, and child processes inherit
-    imported test modules, so locally-importable programs stay usable."""
-    methods = multiprocessing.get_all_start_methods()
-    if "fork" in methods:
-        return multiprocessing.get_context("fork")
-    return multiprocessing.get_context()
 
 
 def require_picklable(**objects) -> None:
@@ -250,30 +241,23 @@ def campaign_input_worker(program_factory, point, config,
                           telemetry_on: bool) -> dict:
     """Check one campaign input in a worker process.
 
-    Runs the full serial session (``workers`` was already forced to 1 by
-    the parent — campaign parallelism is across inputs, never nested).
-    A session that raises becomes an ``error`` outcome here, exactly as
-    the serial campaign loop classifies it.
+    Runs :func:`~repro.core.engine.session.check_input`, the check the
+    serial campaign loop runs, as a full serial session (``workers``
+    was already forced to 1 by the parent — campaign parallelism is
+    across inputs, never nested).
     """
-    from repro.core.engine.model import error_outcome, outcome_from_result
-    from repro.core.engine.session import execute_session
+    from repro.core.engine.session import check_input
 
     if failpoints.ENABLED:
         failpoints.fire("worker.input.before")
     tele = worker_telemetry(telemetry_on)
-    program_name = None
-    try:
-        program = program_factory(**point.params)
-        program_name = program.name
-        result = execute_session(program, config, telemetry=tele)
-        outcome = outcome_from_result(point, result)
+    outcome, program_name = check_input(program_factory, point, config, tele)
+    result = outcome.result
+    if result is not None:
         note_worker_progress(runs=result.runs,
                              checkpoints=sum(len(r.checkpoints)
                                              for r in result.records))
-    except SessionInterrupted:
-        raise  # shutdown is the parent's call, never an input verdict
-    except ReproError as exc:
-        outcome = error_outcome(point, type(exc).__name__, str(exc))
+    else:
         note_worker_progress()  # the attempt itself is progress
     if failpoints.ENABLED:
         failpoints.fire("worker.input.after")

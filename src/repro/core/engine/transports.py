@@ -1,13 +1,9 @@
-"""Transports: the engine's one execution interface.
+"""Transports: the fan-out backends' execution interface.
 
-A :class:`Transport` is the coordinator's only view of execution —
-submit a batch, await results in completion order, cancel with a
-divergence floor, close.  Three backends implement it:
+A :class:`Transport` is the coordinator's only view of fanned-out
+execution — submit a batch, await results in completion order, cancel
+with a divergence floor, close.  Two backends implement it:
 
-* :class:`InlineTransport` (``serial``) runs each task inline, in
-  index order, on the coordinator's private loop.  Inline is
-  deliberate: nothing else is scheduled during a serial session, and a
-  shutdown signal raises inside the running task's frame.
 * :class:`ProcessPoolTransport` (``process-pool``) fans tasks across a
   local process pool: FIFO submission in index order, cancel-with-floor
   revoking only unstarted futures, deadline expiry abandoning in-flight
@@ -17,12 +13,16 @@ divergence floor, close.  Three backends implement it:
 * :class:`~repro.core.engine.sockets.SocketTransport` (``socket``)
   dispatches the same task descriptors to ``repro worker`` processes
   over newline-delimited JSON frames — see docs/distributed.md.
+
+The ``serial`` backend is no transport but a plain loop
+(:mod:`repro.core.engine.session`), and never imports this module.
 """
 
 from __future__ import annotations
 
 import asyncio
 import collections
+import multiprocessing
 import time
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
@@ -30,7 +30,16 @@ from concurrent.futures import TimeoutError as FuturesTimeoutError
 from repro.core.engine import heartbeat as _heartbeat
 from repro.core.engine.executors import CRASHED, _EXPIRED
 from repro.core.engine.heartbeat import _HEARTBEAT_QUEUE_SIZE, HeartbeatMonitor
-from repro.core.engine.tasks import _mp_context, _worker_init
+from repro.core.engine.tasks import _worker_init
+
+
+def _mp_context():
+    """Fork where available: cheapest start, and child processes inherit
+    imported test modules, so locally-importable programs stay usable."""
+    methods = multiprocessing.get_all_start_methods()
+    if "fork" in methods:
+        return multiprocessing.get_context("fork")
+    return multiprocessing.get_context()
 
 
 class Transport:
@@ -63,37 +72,6 @@ class Transport:
 
     async def close(self) -> None:
         """Tear down workers/connections; safe to call once, always."""
-
-
-class InlineTransport(Transport):
-    """Run tasks inline, one at a time, in index order.
-
-    A task is a zero-argument callable; cancellation revokes every task
-    not yet started (the current one already returned — the engine
-    folds, then decides).
-    """
-
-    name = "serial"
-
-    def __init__(self):
-        super().__init__()
-        self._tasks: dict = {}
-        self._queue: collections.deque = collections.deque()
-
-    async def start(self, tasks: dict) -> None:
-        self._tasks = tasks
-        self._queue = collections.deque(sorted(tasks))
-
-    async def next_result(self):
-        if not self._queue:
-            return None
-        index = self._queue.popleft()
-        return index, self._tasks[index]()
-
-    async def cancel(self, floor: int | None = None) -> None:
-        await super().cancel(floor)
-        self.cancelled_count += len(self._queue)
-        self._queue.clear()
 
 
 def _run_isolated(task, executor, deadline):

@@ -3,16 +3,14 @@
 Exercised against scripted fakes so every branch is pinned without a
 process pool: judge-driven cancel carries the divergence floor,
 budget-driven cancel carries none, marker values skip steering,
-``close`` runs even when a fold explodes, and the ``session_cancelled``
-event preserves the legacy field order.  The serial backend's
-InlineTransport is driven for real to pin its in-order, revoke-on-cancel
-semantics.
+``close`` runs even when a fold explodes, an abandoned batch is closed
+as aborted, and the ``session_cancelled`` event preserves the legacy
+field order.
 """
 
 import pytest
 
 from repro.core.engine.coordinator import Coordinator, Feedback, coordinate
-from repro.core.engine.transports import InlineTransport
 
 
 class FakeTransport:
@@ -25,6 +23,7 @@ class FakeTransport:
         self.cancelled = False
         self.cancelled_count = 0
         self.expired = False
+        self.aborted = False
         self.calls = []
 
     async def start(self, tasks):
@@ -154,36 +153,14 @@ def test_session_cancelled_event_preserves_field_order():
     assert fields["backend"] == "fake"
 
 
-def test_inline_transport_runs_tasks_in_index_order():
-    tasks = {i: (lambda i=i: ("ran", i)) for i in (2, 0, 1)}
-    transport = InlineTransport()
-    feedback = ScriptedFeedback()
-    coordinate(Coordinator(transport, feedback).run(tasks))
-    assert feedback.folded == [(0, ("ran", 0)), (1, ("ran", 1)),
-                               (2, ("ran", 2))]
-    assert transport.cancelled_count == 0
-    assert not transport.expired
-
-
-def test_inline_transport_cancel_revokes_unstarted_tasks():
-    tasks = {i: (lambda i=i: ("ran", i)) for i in range(4)}
-    transport = InlineTransport()
-    feedback = ScriptedFeedback(cancel_after=1, floor=0)
-    coordinate(Coordinator(transport, feedback).run(tasks))
-    # Serial semantics: index 0 folds, the cancel lands, the remaining
-    # three are revoked before they start.
-    assert feedback.folded == [(0, ("ran", 0))]
-    assert transport.cancelled
-    assert transport.cancelled_count == 3
-
-
 def test_an_abandoned_batch_is_closed_as_aborted():
     class ExplodingFeedback(ScriptedFeedback):
         def fold(self, index, value):
             raise RuntimeError("judge blew up")
 
-    transport = InlineTransport()
+    transport = FakeTransport([(0, "a")])
     with pytest.raises(RuntimeError, match="judge blew up"):
-        coordinate(Coordinator(transport, ExplodingFeedback()).run(
-            {0: lambda: "a"}))
+        coordinate(Coordinator(transport, ExplodingFeedback()).run({0: None}))
+    # The pool and socket transports read the flag in close() to kill
+    # their workers instead of waiting them out.
     assert transport.aborted

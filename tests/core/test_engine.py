@@ -17,10 +17,11 @@ from repro.core.engine import (OUTCOME_CRASH_DIVERGENCE,
                                OUTCOME_DETERMINISTIC, OUTCOME_INCOMPLETE,
                                OUTCOME_INFEASIBLE, OUTCOME_NONDETERMINISTIC,
                                CheckConfig, FrozenDict, Judge, SessionPlan,
-                               classify_outcome, execute_session)
+                               classify_outcome, execute_session, record_key)
 from repro.core.checker.runner import check_determinism
 from repro.errors import CheckerError
 from repro.sim.faults import make_fault
+from repro.sim.program import Runner
 from repro.telemetry import MemorySink, Telemetry
 from repro.workloads import make
 
@@ -252,6 +253,36 @@ def test_stop_on_first_serial_announces_cancel_uniformly():
     assert len(events) == 1
     assert events[0]["backend"] == "serial"
     assert events[0]["cancelled"] >= 1
+
+
+def test_stop_on_first_serial_starts_no_run_after_the_divergent_one(
+        monkeypatch):
+    """The serial loop stops right after the first divergent run: no
+    later run starts, and every run not started is counted as
+    cancelled, in the event's fixed field order."""
+    started = []
+    real_run = Runner.run
+
+    def counting_run(self, seed):
+        started.append(seed)
+        return real_run(self, seed)
+
+    monkeypatch.setattr(Runner, "run", counting_run)
+    runs = 12
+    config = CheckConfig(runs=runs, stop_on_first=True)
+    tele = Telemetry(MemorySink())
+    result = check_determinism(RacyProgram(), config, telemetry=tele)
+    keys = [record_key(r) for r in result.records]
+    divergent = next(i for i, key in enumerate(keys) if key != keys[0])
+    assert started == [config.base_seed + i for i in range(divergent + 1)]
+    events = [e for e in tele.sink.events
+              if e.get("t") == "event" and e["name"] == "session_cancelled"]
+    assert len(events) == 1
+    fields = ["program", "backend", "completed", "failed", "cancelled"]
+    assert [k for k in events[0] if k in fields] == fields
+    assert events[0]["backend"] == "serial"
+    assert events[0]["cancelled"] == runs - (divergent + 1)
+    assert tele.registry.snapshot()["counters"]["sessions_cancelled"] == 1
 
 
 def test_deterministic_session_never_cancels():

@@ -18,8 +18,8 @@ from concurrent.futures import _base as futures_base
 import pytest
 
 from repro.core.engine.executors import EXECUTORS
-from repro.core.engine.tasks import _mp_context
-from repro.core.engine.transports import ProcessPoolTransport, _kill_workers
+from repro.core.engine.transports import (ProcessPoolTransport, _kill_workers,
+                                          _mp_context)
 
 
 def _registry_pool(**kwargs):

@@ -60,6 +60,26 @@ def test_signal_mid_campaign_shuts_down_cleanly(tmp_path, sig, name):
     assert all("SessionInterrupted" not in json.dumps(r) for r in records)
 
 
+@pytest.mark.parametrize("sig,name", [(signal.SIGTERM, "SIGTERM"),
+                                      (signal.SIGINT, "SIGINT")])
+def test_signal_mid_serial_check_shuts_down_cleanly(sig, name):
+    # A serial session has no event loop around it: the signal unwinds
+    # through the run in progress and the inline run loop.
+    argv = [sys.executable, "-m", "repro", "check", "fft", "--runs", "400"]
+    proc = subprocess.Popen(argv, env=_env(), stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True)
+    time.sleep(0.8)
+    proc.send_signal(sig)
+    stdout, stderr = proc.communicate(timeout=60)
+    if proc.returncode == 0:
+        pytest.skip("check finished before the signal landed")
+    assert proc.returncode == 2, (stdout, stderr)
+    assert f"interrupted by {name}" in stderr
+    assert "shut down cleanly" in stderr
+    assert "Traceback (most recent call last)" not in stderr
+    assert "Traceback (most recent call last)" not in stdout
+
+
 @pytest.mark.parametrize("executor", ["process-pool"])
 def test_signal_mid_pool_session_does_not_wait_for_runs_in_flight(executor):
     # Each worker's second run sleeps 20 s, so the signal lands while

@@ -7,8 +7,11 @@ Python path), the pool/socket backends, the HTTP server or the paper
 renderers.  A check whose batches do reach the vectorization threshold
 must load numpy, which proves the switch engages.
 
-``ssl`` and ``socket`` are not asserted absent: ``asyncio`` imports
-both, and every session runs through the asyncio coordinator.
+A serial session is a plain loop, not a transport on an event loop, so
+it loads none of the async and process machinery either: ``asyncio``,
+``concurrent.futures``, ``multiprocessing``, ``socket``, ``ssl`` and
+``selectors`` stay out of a serial check and of a single-input serial
+campaign.
 """
 
 import json
@@ -33,8 +36,9 @@ print(json.dumps({"exit": code, "modules": sorted(sys.modules)}))
 
 #: Modules a serial, small-batch check has no use for.
 NOT_LOADED_BY_SERIAL_CHECK = (
-    "numpy", "http.server", "email", "multiprocessing.shared_memory",
-    "repro.core.engine.sockets", "repro.analysis",
+    "numpy", "http.server", "email", "repro.core.engine.sockets",
+    "repro.core.engine.transports", "repro.analysis", "asyncio",
+    "concurrent.futures", "multiprocessing", "socket", "ssl", "selectors",
 )
 
 
@@ -51,13 +55,22 @@ def _modules_after(*argv) -> set:
     return set(result["modules"])
 
 
+def _unused(modules) -> list:
+    return sorted(name for name in modules
+                  if any(name == m or name.startswith(m + ".")
+                         for m in NOT_LOADED_BY_SERIAL_CHECK))
+
+
 def test_serial_small_batch_check_loads_no_unused_subsystem():
-    modules = _modules_after("check", "seeded-sb-dcl", "--memory-model",
-                             "pso", "--runs", "20")
-    loaded = sorted(name for name in modules
-                    if any(name == m or name.startswith(m + ".")
-                           for m in NOT_LOADED_BY_SERIAL_CHECK))
-    assert loaded == []
+    assert _unused(_modules_after("check", "seeded-sb-dcl", "--memory-model",
+                                  "pso", "--runs", "20")) == []
+
+
+def test_single_input_serial_campaign_loads_no_unused_subsystem():
+    assert _unused(_modules_after(
+        "campaign", "seeded-sb-dcl", "--scheduler", "dpor",
+        "--memory-model", "pso", "--runs", "20",
+        "--inputs", "w6:n_workers=6")) == []
 
 
 @pytest.mark.skipif(not has_numpy(), reason="numpy backend not installed")
