@@ -1,7 +1,7 @@
 """Coordinator-transport cost: the socket fleet vs the local pool.
 
-The fan-out backends are ``Transport``s driven by one async scheduling
-loop; ``serial`` is a plain inline loop.  This benchmark runs the same
+The fan-out backends are ``Transport``s driven by one blocking
+scheduling loop; ``serial`` is a plain inline loop.  This benchmark runs the same
 session on the ``serial`` backend, the local ``process-pool`` and the
 ``socket`` fleet — a hub plus real ``repro worker`` subprocesses on
 loopback — and fails unless all three verdicts are bit-identical.  The wall-clock

@@ -11,7 +11,8 @@ sessions, campaigns — is one instantiation of the same pipeline:
   pool's record phase; the fan-out backends — ``process-pool`` and
   ``socket`` (docs/distributed.md) — are
   :class:`~repro.core.engine.transports.Transport` classes driven by
-  the :class:`~repro.core.engine.coordinator.Coordinator`.  A session
+  the :class:`~repro.core.engine.coordinator.Coordinator`, a blocking
+  loop over threads and thread-safe queues.  A session
   imports only the backend it runs (the coordinator, transports and
   sockets are re-exported here lazily);
 * an incremental :class:`~repro.core.engine.judge.Judge` folds each

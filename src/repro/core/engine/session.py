@@ -24,8 +24,8 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.core.engine.coordinator import (Coordinator, Feedback,
-                                           announce_cancelled, coordinate)
+from repro.core.engine.coordinator import (Feedback, announce_cancelled,
+                                           coordinate)
 from repro.core.engine.executors import (CRASHED, EXECUTORS,
                                          resolve_executor, resolve_workers)
 from repro.core.engine.judge import Judge
@@ -211,8 +211,8 @@ def pool_session(plan: SessionPlan, tele, backend: str = "process-pool"):
                 for i in remaining
             }
         feedback = SessionFeedback(plan, judge, tele)
-        coordinate(Coordinator(transport, feedback, tele,
-                               program_name=plan.program.name).run(tasks))
+        coordinate(transport, feedback, tasks, tele,
+                   program_name=plan.program.name)
         if transport.expired:
             judge.fold_expired()
     return judge.finalize(workers=plan.n_workers)
@@ -334,7 +334,7 @@ def fan_out_campaign(program_factory, points, config, feedback,
         for pos, point in points:
             tele.event("progress", kind="input", input=point.name,
                        index=pos, total=total)
-    coordinate(Coordinator(transport, feedback, tele).run(tasks))
+    coordinate(transport, feedback, tasks, tele)
 
 
 def execute_campaign(program_factory, inputs, config, telemetry=None,

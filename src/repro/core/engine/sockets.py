@@ -19,7 +19,7 @@ Worker heartbeat frames feed the same
 stall detection carry over unchanged.
 
 :class:`SocketTransport` is the coordinator-facing half: it hands the
-hub one batch, awaits results off a thread-safe queue, and maps
+hub one batch, blocks on results off a thread-safe queue, and maps
 cancel/deadline onto batch revocation.  It finds its hub ambiently —
 the ``repro serve`` daemon installs one via :func:`set_ambient_hub`;
 standalone use sets ``REPRO_SOCKET_PORT`` and points ``repro worker
@@ -410,10 +410,12 @@ def ambient_hub() -> WorkerHub:
 class SocketTransport(Transport):
     """The coordinator's view of the worker fleet.
 
-    One batch per transport: ``start`` hands the hub the descriptor
-    map, ``next_result`` drains the hub's thread-safe results queue
-    (polling so the session deadline is honoured even with a silent
-    fleet), ``cancel`` revokes undispatched indexes above the floor.
+    One batch per transport, in plain blocking calls: ``start`` hands
+    the hub the descriptor map and waits for the hub's thread-safe
+    results queue, ``next_result`` blocks on that queue up to the
+    session deadline (so a silent fleet cannot outlast it), ``cancel``
+    revokes undispatched indexes above the floor.  Each call into the
+    hub waits on the ``concurrent.futures`` future its loop resolves.
     The hub outlives the transport — ``close`` ends the batch, not the
     fleet.
     """
@@ -435,7 +437,7 @@ class SocketTransport(Transport):
         self._results: queue_mod.Queue | None = None
         self._finished = False
 
-    async def start(self, tasks: dict) -> None:
+    def start(self, tasks: dict) -> None:
         if not tasks:
             self._finished = True
             return
@@ -444,40 +446,33 @@ class SocketTransport(Transport):
             # frames straight into observe_beat / check_stalls.
             self.monitor = HeartbeatMonitor(self.telemetry, None,
                                             stall_after_s=self.stall_after_s)
-        self._results = await asyncio.wrap_future(self.hub.begin_batch(
+        self._results = self.hub.begin_batch(
             tasks, deadline=self.deadline, monitor=self.monitor,
-            telemetry=self.telemetry))
+            telemetry=self.telemetry).result()
 
-    async def next_result(self):
+    def next_result(self):
         if self._finished or self._results is None:
             return None
-        while True:
-            timeout = 0.25
-            if self.deadline is not None:
-                remaining = self.deadline - time.monotonic()
-                if remaining <= 0:
-                    self.expired = True
-                    self._finished = True
-                    return None
-                timeout = min(timeout, max(0.01, remaining))
-            try:
-                item = await asyncio.to_thread(
-                    self._results.get, True, timeout)
-            except queue_mod.Empty:
-                continue
-            if item is _DONE:
-                self._finished = True
-                return None
-            return item
-
-    async def cancel(self, floor: int | None = None) -> None:
-        await super().cancel(floor)
-        self.cancelled_count += await asyncio.wrap_future(
-            self.hub.cancel_batch(floor))
-
-    async def close(self) -> None:
+        timeout = None
+        if self.deadline is not None:
+            timeout = max(0.0, self.deadline - time.monotonic())
         try:
-            await asyncio.wrap_future(self.hub.end_batch())
+            item = self._results.get(timeout=timeout)
+        except queue_mod.Empty:
+            self.expired = True
+            item = _DONE
+        if item is _DONE:
+            self._finished = True
+            return None
+        return item
+
+    def cancel(self, floor: int | None = None) -> None:
+        super().cancel(floor)
+        self.cancelled_count += self.hub.cancel_batch(floor).result()
+
+    def close(self) -> None:
+        try:
+            self.hub.end_batch().result()
         except CheckerError:
             pass  # the hub already stopped (daemon shutdown path)
         if self.monitor is not None:

@@ -1,15 +1,17 @@
 """Transports: the fan-out backends' execution interface.
 
 A :class:`Transport` is the coordinator's only view of fanned-out
-execution — submit a batch, await results in completion order, cancel
-with a divergence floor, close.  Two backends implement it:
+execution — submit a batch, block for results in completion order,
+cancel with a divergence floor, close.  Every method is a plain
+blocking call.  Two backends implement it:
 
 * :class:`ProcessPoolTransport` (``process-pool``) fans tasks across a
   local process pool: FIFO submission in index order, cancel-with-floor
   revoking only unstarted futures, deadline expiry abandoning in-flight
-  work, one pool rebuild then per-task isolation salvage.  The
-  scheduling loop awaits a completion queue, so it composes with
-  transports that live on the loop (the serve daemon's socket hub).
+  work, one pool rebuild then per-task isolation salvage.  Each future's
+  done-callback puts it on a thread-safe completion queue, and
+  :meth:`~ProcessPoolTransport.next_result` blocks on that queue until
+  the deadline.
 * :class:`~repro.core.engine.sockets.SocketTransport` (``socket``)
   dispatches the same task descriptors to ``repro worker`` processes
   over newline-delimited JSON frames — see docs/distributed.md.
@@ -20,9 +22,9 @@ The ``serial`` backend is no transport but a plain loop
 
 from __future__ import annotations
 
-import asyncio
 import collections
 import multiprocessing
+import queue
 import time
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
@@ -53,15 +55,16 @@ class Transport:
         self.expired = False      # the deadline cut the stream short
         self.aborted = False      # an exception unwound the batch
 
-    async def start(self, tasks: dict) -> None:
+    def start(self, tasks: dict) -> None:
         """Submit the whole batch, in index order."""
         raise NotImplementedError
 
-    async def next_result(self):
-        """The next ``(index, value)`` in completion order; None at end."""
+    def next_result(self):
+        """Block for the next ``(index, value)`` in completion order;
+        None at the end of the stream."""
         raise NotImplementedError
 
-    async def cancel(self, floor: int | None = None) -> None:
+    def cancel(self, floor: int | None = None) -> None:
         """Stop issuing new work; already-running work is drained.
 
         *floor* is the lowest run index the caller knows to be
@@ -70,7 +73,7 @@ class Transport:
         """
         self.cancelled = True
 
-    async def close(self) -> None:
+    def close(self) -> None:
         """Tear down workers/connections; safe to call once, always."""
 
 
@@ -82,27 +85,25 @@ def _run_isolated(task, executor, deadline):
     unresolved task is retried in isolation — the crasher reveals itself
     by breaking its private pool, everything else completes normally.
     The caller builds the pool, *executor*, and keeps it so an aborted
-    batch can kill the worker.
+    batch can kill the worker: an exception out of the wait (a shutdown
+    signal) leaves the pool running for the caller's ``close()``.
     """
-    value = _EXPIRED
     worker_fn, args = task
+    future = executor.submit(worker_fn, *args)
+    timeout = None
+    if deadline is not None:
+        timeout = max(0.0, deadline - time.monotonic())
     try:
-        future = executor.submit(worker_fn, *args)
-        timeout = None
-        if deadline is not None:
-            timeout = max(0.0, deadline - time.monotonic())
-        try:
-            value = future.result(timeout=timeout)
-        except BrokenExecutor:
-            value = CRASHED
-        except (FuturesTimeoutError, TimeoutError):
-            value = _EXPIRED
-        return value
-    finally:
-        # Reap the worker unless it is stuck past the deadline — forked
-        # workers inherit parent fds (e.g. the journal's lock), so a
-        # lingering idle worker must not outlive this call.
-        executor.shutdown(wait=value is not _EXPIRED, cancel_futures=True)
+        value = future.result(timeout=timeout)
+    except BrokenExecutor:
+        value = CRASHED
+    except (FuturesTimeoutError, TimeoutError):
+        value = _EXPIRED
+    # Reap the worker unless it is stuck past the deadline — forked
+    # workers inherit parent fds (e.g. the journal's lock), so a
+    # lingering idle worker must not outlive this call.
+    executor.shutdown(wait=value is not _EXPIRED, cancel_futures=True)
+    return value
 
 
 def _kill_workers(pool: ProcessPoolExecutor) -> None:
@@ -174,10 +175,9 @@ class ProcessPoolTransport(Transport):
         self.monitor: HeartbeatMonitor | None = None
         self._tasks: dict = {}
         self._pending: dict = {}  # future -> run index
-        self._completions = asyncio.Queue()  # done futures, see next_result
-        self._loop = None
+        self._completions = queue.SimpleQueue()  # done futures
         self._ready: collections.deque = collections.deque()
-        self._salvage: list = []      # indexes awaiting an isolation pool
+        self._salvage: list = []      # indexes waiting for an isolation pool
         self._isolation: ProcessPoolExecutor | None = None
         self._rebuilds_left = self.max_pool_rebuilds
         self._pool: ProcessPoolExecutor | None = None
@@ -204,15 +204,8 @@ class ProcessPoolTransport(Transport):
         worker_fn, args = self._tasks[index]
         future = self._pool.submit(worker_fn, *args)
         self._pending[future] = index
-        future.add_done_callback(self._on_done)
-
-    def _on_done(self, future) -> None:
-        # Runs on the pool's manager thread.
-        try:
-            self._loop.call_soon_threadsafe(self._completions.put_nowait,
-                                            future)
-        except RuntimeError:
-            pass  # the loop closed: an abandoned future finished late
+        # Runs on the pool's manager thread (or here, for a revoke).
+        future.add_done_callback(self._completions.put)
 
     def _revoke(self, floor: int | None) -> list:
         """Cancel unstarted futures above *floor*; the revoked indexes."""
@@ -225,11 +218,10 @@ class ProcessPoolTransport(Transport):
                 del self._pending[future]
         return revoked
 
-    async def start(self, tasks: dict) -> None:
+    def start(self, tasks: dict) -> None:
         self._tasks = tasks
         if not tasks:
             return
-        self._loop = asyncio.get_running_loop()
         self._ctx = _mp_context()
         self._initargs = self._start_heartbeats()
         self._pool = self._make_pool(len(tasks))
@@ -238,19 +230,19 @@ class ProcessPoolTransport(Transport):
         for index in sorted(tasks):
             self._submit(index)
 
-    async def cancel(self, floor: int | None = None) -> None:
-        await super().cancel(floor)
+    def cancel(self, floor: int | None = None) -> None:
+        super().cancel(floor)
         self.cancelled_count += len(self._revoke(floor))
 
-    async def next_result(self):
+    def next_result(self):
         while True:
             if self._ready:
                 return self._ready.popleft()
             if self._salvage:
-                return await self._salvage_next()
+                return self._salvage_next()
             if not self._pending:
                 return None
-            done = await self._wait()
+            done = self._wait()
             if not done:
                 # Session deadline: stop waiting; running workers hit
                 # their own deadline poll, close() abandons them.
@@ -272,20 +264,17 @@ class ProcessPoolTransport(Transport):
             if unresolved:
                 self._recover(unresolved)
 
-    async def _wait(self) -> list:
+    def _wait(self) -> list:
         """Block until a future completes or the deadline passes; then
         take every completion already queued."""
         completions = self._completions
-        done = []
-        if completions.empty():
-            timeout = None
-            if self.deadline is not None:
-                timeout = max(0.0, self.deadline - time.monotonic())
-            try:
-                done.append(await asyncio.wait_for(completions.get(),
-                                                   timeout))
-            except asyncio.TimeoutError:
-                return done
+        timeout = None
+        if self.deadline is not None:
+            timeout = max(0.0, self.deadline - time.monotonic())
+        try:
+            done = [completions.get(timeout=timeout)]
+        except queue.Empty:
+            return []
         while not completions.empty():
             done.append(completions.get_nowait())
         return done
@@ -315,7 +304,7 @@ class ProcessPoolTransport(Transport):
         else:
             self._salvage = sorted(unresolved)
 
-    async def _salvage_next(self):
+    def _salvage_next(self):
         """Retry one unresolved task alone in a single-worker pool."""
         index = self._salvage.pop(0)
         if self.deadline is not None and time.monotonic() >= self.deadline:
@@ -323,8 +312,8 @@ class ProcessPoolTransport(Transport):
             self._salvage = []
             return None
         self._isolation = self._make_pool(1)
-        value = await asyncio.to_thread(_run_isolated, self._tasks[index],
-                                        self._isolation, self.deadline)
+        value = _run_isolated(self._tasks[index], self._isolation,
+                              self.deadline)
         self._isolation = None
         if value is _EXPIRED:
             self.expired = True
@@ -332,10 +321,10 @@ class ProcessPoolTransport(Transport):
             return None
         return index, value
 
-    async def close(self) -> None:
+    def close(self) -> None:
         if self.aborted:
             # Never wait on a possibly-stuck worker the caller is
-            # escaping (a shutdown signal, a cancelled coordinator).
+            # escaping (a shutdown signal, a failing fold).
             for pool in (self._pool, self._isolation):
                 if pool is not None:
                     _kill_workers(pool)

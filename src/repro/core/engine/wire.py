@@ -50,7 +50,7 @@ import json
 import pickle
 import zlib
 
-from repro.errors import ReproError
+from repro.errors import CheckerError, ReproError
 
 #: Bump on any frame-schema change; both ends reject a mismatch
 #: loudly rather than mis-parse silently.
@@ -152,17 +152,43 @@ def build_named_program(app: str, **params):
     """The CLI's name dispatcher: fault probe, seeded bug, or workload.
 
     One implementation for the local CLI and the socket worker, so a
-    name resolves identically on both sides of the wire.
+    name resolves identically on both sides of the wire.  A parameter
+    the target does not take is a :class:`~repro.errors.CheckerError`
+    naming the accepted ones, never a raw ``TypeError``.
     """
     from repro.sim.faults import FAULT_REGISTRY, make_fault
-    from repro.workloads import make
+    from repro.workloads import REGISTRY, make
     from repro.workloads.seeded_bugs import SEEDED
 
     if app in FAULT_REGISTRY:
+        _check_params(app, FAULT_REGISTRY.get(app), params)
         return make_fault(app, **params)
     if app in SEEDED:
-        return attach_spec(SEEDED[app](**params), "seeded", app, params)
+        factory = SEEDED[app]
+        _check_params(app, factory, params)
+        return attach_spec(factory(**params), "seeded", app, params)
+    if app in REGISTRY:
+        _check_params(app, REGISTRY.get(app), params)
     return make(app, **params)
+
+
+def _check_params(app: str, target, params: dict) -> None:
+    """Reject keys *target*'s signature does not accept (a target
+    taking ``**kwargs`` accepts any)."""
+    import inspect
+
+    accepted = []
+    for name, param in inspect.signature(target).parameters.items():
+        if param.kind is param.VAR_KEYWORD:
+            return
+        if param.kind is not param.POSITIONAL_ONLY:
+            accepted.append(name)
+    unknown = sorted(set(params) - set(accepted))
+    if unknown:
+        raise CheckerError(
+            f"{app!r} takes no parameter "
+            f"{', '.join(repr(key) for key in unknown)}; "
+            f"accepted: {', '.join(accepted)}")
 
 
 class ProgramFactory:

@@ -8,7 +8,7 @@ word.  Because the group is commutative and associative, any such sum
 may be evaluated over *arrays* in one pass — which is exactly what a
 hardware hash unit does, and what this module does in software.
 
-Two interchangeable backends implement the same four operations:
+Two interchangeable backends implement the same three operations:
 
 * :class:`PythonKernel` — the pure-Python reference, defined by the
   exact same calls the scalar datapath makes (``mixer.location_hash``
@@ -134,10 +134,6 @@ class HashKernel:
         """
         raise NotImplementedError
 
-    def fold_terms(self, terms) -> int:
-        """Mod-2^64 sum of precomputed 64-bit terms."""
-        raise NotImplementedError
-
 
 def _rounding_on(rounding) -> bool:
     return rounding is not None and rounding.enabled
@@ -177,9 +173,6 @@ class PythonKernel(HashKernel):
             total += (mixer.location_hash(a, self._round(rounding, new, f))
                       - mixer.location_hash(a, self._round(rounding, old, f)))
         return total & MASK64
-
-    def fold_terms(self, terms) -> int:
-        return sum(terms) & MASK64
 
 
 @HASH_BACKENDS.register("numpy")
@@ -305,14 +298,6 @@ class NumpyKernel(PythonKernel):
             self._bits(rounding, old_values, fp_flags),
             self._bits(rounding, new_values, fp_flags))
         return int(_np.add.reduce(delta, dtype=_np.uint64))
-
-    def fold_terms(self, terms) -> int:
-        if _scalar(terms):
-            return super().fold_terms(terms)
-        load_numpy()
-        arr = (terms if isinstance(terms, _np.ndarray)
-               else _np.array([t & MASK64 for t in terms], dtype=_np.uint64))
-        return int(_np.add.reduce(arr, dtype=_np.uint64))
 
 
 _KERNELS: dict = {}

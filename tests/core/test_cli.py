@@ -228,6 +228,16 @@ def test_campaign_bad_input_spec_rejected():
     assert code == 3
 
 
+def test_campaign_unknown_input_key_is_an_infra_failure(capsys):
+    code, text = run_cli("campaign", "streamcluster", "--runs", "3",
+                         "--inputs", "dev:bogus=1", "prod")
+    assert code == 2  # EXIT_INFRA, not the nondeterministic verdict's 1
+    assert "infrastructure failures: dev" in text
+    assert "'bogus'" in text and "accepted: n_workers" in text
+    assert "prod         deterministic" in text
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_check_workers_matches_serial():
     code_s, text_s = run_cli("check", "fft", "--runs", "4", "--json")
     code_p, text_p = run_cli("check", "fft", "--runs", "4", "--json",

@@ -26,20 +26,20 @@ class FakeTransport:
         self.aborted = False
         self.calls = []
 
-    async def start(self, tasks):
+    def start(self, tasks):
         self.calls.append(("start", sorted(tasks)))
 
-    async def next_result(self):
+    def next_result(self):
         if not self.items:
             return None
         return self.items.pop(0)
 
-    async def cancel(self, floor=None):
+    def cancel(self, floor=None):
         self.calls.append(("cancel", floor))
         self.cancelled = True
         self.cancelled_count += len(self.items)
 
-    async def close(self):
+    def close(self):
         self.calls.append(("close",))
 
 
@@ -87,8 +87,7 @@ class EventRecorder:
 def test_folds_everything_without_steering():
     transport = FakeTransport([(0, "a"), (2, "c"), (1, "b")])
     feedback = ScriptedFeedback()
-    coordinate(Coordinator(transport, feedback).run({0: "t0", 1: "t1",
-                                                     2: "t2"}))
+    coordinate(transport, feedback, {0: "t0", 1: "t1", 2: "t2"})
     assert feedback.folded == [(0, "a"), (2, "c"), (1, "b")]
     assert transport.calls == [("start", [0, 1, 2]), ("close",)]
 
@@ -97,7 +96,7 @@ def test_judge_cancel_carries_the_divergence_floor():
     transport = FakeTransport([(0, "a"), (1, "b"), (2, "c")])
     feedback = ScriptedFeedback(cancel_after=2, floor=1)
     coord = Coordinator(transport, feedback)
-    coordinate(coord.run({i: None for i in range(3)}))
+    coord.run({i: None for i in range(3)})
     assert ("cancel", 1) in transport.calls
     assert coord.stop_cancelled
     # In-flight results keep folding after the cancel — the transport
@@ -110,7 +109,7 @@ def test_budget_cancel_carries_no_floor_and_no_event():
     feedback = ScriptedFeedback(budget_after=1)
     tele = EventRecorder()
     coord = Coordinator(transport, feedback, tele=tele, program_name="p")
-    coordinate(coord.run({0: None, 1: None}))
+    coord.run({0: None, 1: None})
     assert ("cancel", None) in transport.calls
     assert not coord.stop_cancelled
     assert tele.events == []  # expiry is the budget's event, not an ask
@@ -119,8 +118,7 @@ def test_budget_cancel_carries_no_floor_and_no_event():
 def test_cancel_issued_once():
     transport = FakeTransport([(i, "x") for i in range(4)])
     feedback = ScriptedFeedback(cancel_after=1, floor=0)
-    coordinate(Coordinator(transport, feedback).run(
-        {i: None for i in range(4)}))
+    coordinate(transport, feedback, {i: None for i in range(4)})
     assert [c for c in transport.calls if c[0] == "cancel"] == [("cancel", 0)]
 
 
@@ -131,7 +129,7 @@ def test_close_runs_when_a_fold_raises():
 
     transport = FakeTransport([(0, "a")])
     with pytest.raises(RuntimeError, match="judge blew up"):
-        coordinate(Coordinator(transport, ExplodingFeedback()).run({0: None}))
+        coordinate(transport, ExplodingFeedback(), {0: None})
     assert ("close",) in transport.calls
 
 
@@ -139,9 +137,8 @@ def test_session_cancelled_event_preserves_field_order():
     transport = FakeTransport([(0, "a"), (1, "b"), (2, "c")])
     feedback = ScriptedFeedback(cancel_after=1, floor=0)
     tele = EventRecorder()
-    coordinate(Coordinator(transport, feedback, tele=tele,
-                           program_name="racy").run(
-        {i: None for i in range(3)}))
+    coordinate(transport, feedback, {i: None for i in range(3)}, tele=tele,
+               program_name="racy")
     assert len(tele.events) == 1
     name, fields = tele.events[0]
     assert name == "session_cancelled"
@@ -160,7 +157,19 @@ def test_an_abandoned_batch_is_closed_as_aborted():
 
     transport = FakeTransport([(0, "a")])
     with pytest.raises(RuntimeError, match="judge blew up"):
-        coordinate(Coordinator(transport, ExplodingFeedback()).run({0: None}))
+        coordinate(transport, ExplodingFeedback(), {0: None})
     # The pool and socket transports read the flag in close() to kill
     # their workers instead of waiting them out.
     assert transport.aborted
+
+
+def test_a_signal_raised_mid_wait_aborts_and_closes():
+    class InterruptedTransport(FakeTransport):
+        def next_result(self):
+            raise KeyboardInterrupt  # a shutdown signal during the get
+
+    transport = InterruptedTransport([])
+    with pytest.raises(KeyboardInterrupt):
+        coordinate(transport, ScriptedFeedback(), {0: None})
+    assert transport.aborted
+    assert transport.calls[-1] == ("close",)

@@ -1,6 +1,5 @@
 """Tests for worker heartbeats and the parent-side HeartbeatMonitor."""
 
-import asyncio
 import multiprocessing
 import os
 import signal
@@ -159,14 +158,14 @@ def _slow_task(duration: float) -> int:
     return os.getpid()
 
 
-async def _results(transport, tasks) -> dict:
-    await transport.start(tasks)
+def _results(transport, tasks) -> dict:
+    transport.start(tasks)
     out = {}
     try:
-        while (item := await transport.next_result()) is not None:
+        while (item := transport.next_result()) is not None:
             out[item[0]] = item[1]
     finally:
-        await transport.close()
+        transport.close()
     return out
 
 
@@ -201,7 +200,7 @@ class TestStallDetection:
 
         saboteur = threading.Thread(target=freeze_and_thaw)
         saboteur.start()
-        results = asyncio.run(_results(transport, {0: (_slow_task, (2.0,))}))
+        results = _results(transport, {0: (_slow_task, (2.0,))})
         saboteur.join(timeout=15)
         # The task's result is intact despite the freeze...
         assert results[0] == stopped["pid"]

@@ -4,14 +4,15 @@
 task, never a waiter on every pending future at every wakeup.  The
 other tests here pin the loop's contract that the completion queue must
 keep: a revoked future's late callback is skipped and counted once, and
-a deadline cuts in-flight work short.  Each contract is checked twice:
-on the pool the ``executors`` registry hands out for ``process-pool``
-(the ``test_pool_*`` tests), and on ``ProcessPoolTransport`` built
-directly, the asyncio pool once named ``asyncio-local``.
+a deadline cuts in-flight work short, and a shutdown signal during an
+isolated retry leaves the worker for ``close()`` to kill.  Each runs on
+the pool the ``executors`` registry hands out for ``process-pool``,
+which is ``ProcessPoolTransport`` itself.
 """
 
-import asyncio
 import concurrent.futures
+import signal
+import threading
 import time
 from concurrent.futures import _base as futures_base
 
@@ -27,6 +28,10 @@ def _registry_pool(**kwargs):
     return EXECUTORS["process-pool"](**kwargs)
 
 
+def test_registry_process_pool_is_the_pool_transport():
+    assert EXECUTORS["process-pool"] is ProcessPoolTransport
+
+
 def _nap(index, seconds):
     time.sleep(seconds)
     return index
@@ -36,24 +41,24 @@ def _tasks(n, seconds=0.0):
     return {i: (_nap, (i, seconds)) for i in range(n)}
 
 
-async def _drain(transport, tasks, on_first=None):
+def _drain(transport, tasks, on_first=None):
     """Drive *transport* the way the coordinator does; returns the results."""
-    await transport.start(tasks)
+    transport.start(tasks)
     out = []
     try:
-        while (item := await transport.next_result()) is not None:
+        while (item := transport.next_result()) is not None:
             out.append(item)
             if on_first is not None and len(out) == 1:
-                await on_first(transport)
+                on_first(transport)
     finally:
-        await transport.close()
+        transport.close()
     return out
 
 
 @pytest.fixture
 def registrations(monkeypatch):
     """Count completion hooks put on futures: done-callbacks plus the
-    waiters ``concurrent.futures.wait`` and ``asyncio.wait`` install."""
+    waiters ``concurrent.futures.wait`` installs."""
     count = [0]
     add_done_callback = concurrent.futures.Future.add_done_callback
 
@@ -67,52 +72,39 @@ def registrations(monkeypatch):
         count[0] += len(fs)
         return install_waiters(fs, return_when)
 
-    asyncio_wait = asyncio.tasks._wait
-
-    async def counting_asyncio_wait(fs, timeout, return_when, loop):
-        count[0] += len(fs)
-        return await asyncio_wait(fs, timeout, return_when, loop)
-
     monkeypatch.setattr(concurrent.futures.Future, "add_done_callback",
                         counting_add_done_callback)
     monkeypatch.setattr(futures_base, "_create_and_install_waiters",
                         counting_install_waiters)
-    monkeypatch.setattr(asyncio.tasks, "_wait", counting_asyncio_wait)
     return count
 
 
 N_TASKS = 150
 
 
-def _check_linear_callbacks(transport, registrations):
+def test_pool_stream_registers_linear_callbacks(registrations):
+    transport = _registry_pool(n_workers=2)
     # Tasks that finish a few ms apart wake the parent once per few
     # completions while ~N futures are pending: a per-wakeup waiter on
     # every pending future makes this O(N^2).
-    results = dict(asyncio.run(_drain(transport, _tasks(N_TASKS, 0.002))))
+    results = dict(_drain(transport, _tasks(N_TASKS, 0.002)))
     assert results == {i: i for i in range(N_TASKS)}
     assert registrations[0] <= 2 * N_TASKS
 
 
-def test_pool_stream_registers_linear_callbacks(registrations):
-    _check_linear_callbacks(_registry_pool(n_workers=2), registrations)
-
-
-def test_asyncio_local_registers_linear_callbacks(registrations):
-    _check_linear_callbacks(ProcessPoolTransport(n_workers=2), registrations)
-
-
-def _check_cancel_floor_counts_once(transport):
+def test_pool_cancel_floor_skips_late_callbacks_and_counts_once():
+    transport = _registry_pool(n_workers=1)
     tasks = {0: (_nap, (0, 0.2))}
     tasks.update({i: (_nap, (i, 0.0)) for i in range(1, 20)})
     revoked = []
 
-    async def cancel_twice(t):
-        await t.cancel(floor=0)
+    def cancel_twice(t):
+        t.cancel(floor=0)
         revoked.append(t.cancelled_count)
-        await t.cancel(floor=0)  # nothing left to revoke
+        t.cancel(floor=0)  # nothing left to revoke
 
     # The revoked futures' callbacks still arrive on the queue.
-    results = asyncio.run(_drain(transport, tasks, on_first=cancel_twice))
+    results = _drain(transport, tasks, on_first=cancel_twice)
     indexes = [index for index, _value in results]
     assert results[0] == (0, 0)
     assert len(indexes) == len(set(indexes))
@@ -122,29 +114,50 @@ def _check_cancel_floor_counts_once(transport):
     assert not transport.expired
 
 
-def test_pool_cancel_floor_skips_late_callbacks_and_counts_once():
-    _check_cancel_floor_counts_once(_registry_pool(n_workers=1))
-
-
-def test_asyncio_local_cancel_floor_skips_late_callbacks_and_counts_once():
-    _check_cancel_floor_counts_once(ProcessPoolTransport(n_workers=1))
-
-
-def _check_deadline_expires_in_flight(make_transport):
+def test_pool_deadline_expires_with_tasks_in_flight():
     started = time.monotonic()
-    transport = make_transport(n_workers=1, deadline=started + 0.3)
-    results = asyncio.run(_drain(transport, _tasks(2, 1.5)))
+    transport = _registry_pool(n_workers=1, deadline=started + 0.3)
+    results = _drain(transport, _tasks(2, 1.5))
     assert results == []
     assert transport.expired
     assert time.monotonic() - started < 1.5
 
 
-def test_pool_deadline_expires_with_tasks_in_flight():
-    _check_deadline_expires_in_flight(_registry_pool)
+@pytest.mark.skipif(not hasattr(signal, "pthread_kill"),
+                    reason="needs pthread_kill")
+def test_signal_during_isolated_retry_leaves_the_worker_to_close():
+    """The wait is a blocking call on the main thread: a SIGINT raises
+    out of it, and the isolation pool must still be there for the
+    aborted batch's ``close()`` to terminate, not shut down without
+    waiting and left for the exit hook to join."""
+    transport = _registry_pool(n_workers=1)
+    transport._tasks = {0: (_nap, (0, 30.0))}
+    transport._salvage = [0]  # as after a second pool break
+    transport._ctx = _mp_context()
+    main = threading.get_ident()
 
+    def interrupt_once_isolated():
+        deadline = time.monotonic() + 10
+        while transport._isolation is None and time.monotonic() < deadline:
+            time.sleep(0.01)
+        time.sleep(0.2)  # let the main thread block on the result
+        signal.pthread_kill(main, signal.SIGINT)
 
-def test_asyncio_local_deadline_expires_with_tasks_in_flight():
-    _check_deadline_expires_in_flight(ProcessPoolTransport)
+    started = time.monotonic()
+    interrupter = threading.Thread(target=interrupt_once_isolated)
+    interrupter.start()
+    with pytest.raises(KeyboardInterrupt):
+        transport.next_result()
+    interrupter.join(timeout=15)
+    assert not interrupter.is_alive()
+    workers = list(transport._isolation._processes.values())
+    assert workers
+    transport.aborted = True  # what the coordinator sets on the way out
+    transport.close()
+    for process in workers:
+        process.join(timeout=5)
+        assert not process.is_alive()
+    assert time.monotonic() - started < 10
 
 
 def test_kill_workers_reaps_the_manager_thread():

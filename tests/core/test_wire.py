@@ -17,7 +17,7 @@ from repro.core.engine.wire import (ProgramFactory, WireError,
                                     build_program, decode_frame,
                                     encode_frame, factory_spec, pack_blob,
                                     program_spec, unpack_blob)
-from repro.errors import ReproError
+from repro.errors import CheckerError, ReproError
 from repro.sim.faults import make_fault
 from repro.workloads import make
 from repro.workloads.seeded_bugs import seeded_program
@@ -110,6 +110,21 @@ def test_build_named_program_dispatch_order():
         "deadlock-fault").registry_spec["kind"] == "fault"
     assert build_named_program(
         "seeded-radix").registry_spec["kind"] == "seeded"
+
+
+@pytest.mark.parametrize("app", ["fft", "deadlock-fault"])
+def test_build_named_program_rejects_unknown_params(app):
+    with pytest.raises(CheckerError,
+                       match=r"takes no parameter 'bogus'; accepted: "
+                             r"n_workers"):
+        build_named_program(app, n_workers=2, bogus=1)
+
+
+def test_build_named_program_passes_any_key_to_a_kwargs_target():
+    # Seeded-bug factories take **kwargs and forward them; the check
+    # leaves those to the constructor they reach.
+    program = build_named_program("seeded-radix", n_workers=2)
+    assert program.registry_spec["params"] == {"n_workers": 2}
 
 
 def test_attach_spec_copies_params():

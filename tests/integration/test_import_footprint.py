@@ -7,11 +7,12 @@ Python path), the pool/socket backends, the HTTP server or the paper
 renderers.  A check whose batches do reach the vectorization threshold
 must load numpy, which proves the switch engages.
 
-A serial session is a plain loop, not a transport on an event loop, so
-it loads none of the async and process machinery either: ``asyncio``,
-``concurrent.futures``, ``multiprocessing``, ``socket``, ``ssl`` and
-``selectors`` stay out of a serial check and of a single-input serial
-campaign.
+A serial session is a plain loop, so it loads none of the process
+machinery either: ``concurrent.futures``, ``multiprocessing``,
+``socket``, ``ssl`` and ``selectors`` stay out of a serial check and of
+a single-input serial campaign.  A process-pool session needs the
+process machinery, but its fan-out loop is blocking code on threads
+and queues, so it loads neither ``asyncio`` nor ``ssl``.
 """
 
 import json
@@ -55,10 +56,14 @@ def _modules_after(*argv) -> set:
     return set(result["modules"])
 
 
-def _unused(modules) -> list:
+#: Modules a process-pool check has no use for.
+NOT_LOADED_BY_POOL_CHECK = ("asyncio", "ssl", "repro.core.engine.sockets")
+
+
+def _unused(modules, unused=NOT_LOADED_BY_SERIAL_CHECK) -> list:
     return sorted(name for name in modules
                   if any(name == m or name.startswith(m + ".")
-                         for m in NOT_LOADED_BY_SERIAL_CHECK))
+                         for m in unused))
 
 
 def test_serial_small_batch_check_loads_no_unused_subsystem():
@@ -76,3 +81,10 @@ def test_single_input_serial_campaign_loads_no_unused_subsystem():
 @pytest.mark.skipif(not has_numpy(), reason="numpy backend not installed")
 def test_check_with_long_batches_loads_numpy():
     assert "numpy" in _modules_after("check", "fft", "--runs", "2")
+
+
+def test_pool_check_loads_no_event_loop():
+    modules = _modules_after("check", "fft", "--runs", "4", "--workers", "2",
+                             "--executor", "process-pool")
+    assert "repro.core.engine.transports" in modules
+    assert _unused(modules, NOT_LOADED_BY_POOL_CHECK) == []
