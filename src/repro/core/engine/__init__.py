@@ -10,7 +10,7 @@ sessions, campaigns — is one instantiation of the same pipeline:
   (:func:`~repro.core.engine.session.run_inline`), shared with the
   pool's record phase; the fan-out backends — ``process-pool`` and
   ``socket`` (docs/distributed.md) — are
-  :class:`~repro.core.engine.transports.Transport` classes driven by
+  :class:`~repro.core.engine.coordinator.Transport` classes driven by
   the :class:`~repro.core.engine.coordinator.Coordinator`, a blocking
   loop over threads and thread-safe queues.  A session
   imports only the backend it runs (the coordinator, transports and
@@ -58,7 +58,7 @@ _DEFERRED = {
     "Coordinator": "repro.core.engine.coordinator",
     "Feedback": "repro.core.engine.coordinator",
     "coordinate": "repro.core.engine.coordinator",
-    "Transport": "repro.core.engine.transports",
+    "Transport": "repro.core.engine.coordinator",
     "ProcessPoolTransport": "repro.core.engine.transports",
     "SocketTransport": "repro.core.engine.sockets",
     "WorkerHub": "repro.core.engine.sockets",

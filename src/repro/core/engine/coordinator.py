@@ -2,7 +2,7 @@
 
 The two fan-out backends — the local process pool and the socket
 worker fleet — are driven by the same loop: submit the task batch
-through a :class:`~repro.core.engine.transports.Transport`, block on
+through a :class:`Transport`, block on
 results in completion order, fold each one into the caller's
 *feedback* object (the incremental judge for sessions, the outcome
 recorder for campaigns), and steer cancellation:
@@ -20,11 +20,46 @@ functions (:func:`~repro.core.engine.tasks.attempt_run`, applied where
 the run executes), deadlines travel to the transport, and the feedback
 object owns verdict state.  The loop is plain blocking code: the
 transports' own threads (the pool's manager thread, the socket hub's
-server thread) produce results onto thread-safe queues, and a blocking
+reader threads) produce results onto thread-safe queues, and a blocking
 ``get`` on such a queue stays interruptible by a shutdown signal.
 """
 
 from __future__ import annotations
+
+
+class Transport:
+    """The coordinator's only view of fanned-out execution: submit a
+    batch, block for results in completion order, cancel with a
+    divergence floor, close.  Every method is a plain blocking call."""
+
+    name = "abstract"
+
+    def __init__(self):
+        self.cancelled = False    # cancel() was issued mid-stream
+        self.cancelled_count = 0  # tasks revoked before they started
+        self.expired = False      # the deadline cut the stream short
+        self.aborted = False      # an exception unwound the batch
+
+    def start(self, tasks: dict) -> None:
+        """Submit the whole batch, in index order."""
+        raise NotImplementedError
+
+    def next_result(self):
+        """Block for the next ``(index, value)`` in completion order;
+        None at the end of the stream."""
+        raise NotImplementedError
+
+    def cancel(self, floor: int | None = None) -> None:
+        """Stop issuing new work; already-running work is drained.
+
+        *floor* is the lowest run index the caller knows to be
+        divergent: work at or below it must still complete for the
+        truncated verdict to stay bit-identical.
+        """
+        self.cancelled = True
+
+    def close(self) -> None:
+        """Tear down workers/connections; safe to call once, always."""
 
 
 class Feedback:

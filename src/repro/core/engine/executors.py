@@ -9,12 +9,12 @@
   machines (docs/distributed.md).
 
 The two fan-out backends are
-:class:`~repro.core.engine.transports.Transport` classes that the
+:class:`~repro.core.engine.coordinator.Transport` classes that the
 engine's :class:`~repro.core.engine.coordinator.Coordinator` drives in
 one blocking loop — submit a batch, fold results in completion order,
 cancel mid-stream on the judge's early-exit signal.  The loop runs on
-no event loop: the pool's manager thread and the socket hub's own
-thread hand results over thread-safe queues.
+no event loop: the pool's manager thread and the socket hub's reader
+threads hand results over thread-safe queues.
 
 The worker task functions live in :mod:`repro.core.engine.tasks` and
 the heartbeat plane in :mod:`repro.core.engine.heartbeat`.

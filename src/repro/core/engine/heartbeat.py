@@ -13,11 +13,12 @@ visible *during* the run without perturbing the verdict.  Beats are
 fire-and-forget on a bounded queue: a slow or absent monitor never
 blocks a worker.
 
-The monitor is transport-agnostic: the process-pool backends drive it
-with a ``multiprocessing`` queue and :meth:`HeartbeatMonitor.start`;
-the socket transport feeds decoded heartbeat *frames* straight into
-:meth:`HeartbeatMonitor.observe_beat` — same events, same gauges, no
-second implementation (see docs/distributed.md).
+The monitor is transport-agnostic: every backend starts it with
+:meth:`HeartbeatMonitor.start` on a queue — a ``multiprocessing`` queue
+the pool workers put beats on, or a thread queue the socket hub's
+reader threads put decoded heartbeat *frames* on.  Either way one
+thread owns the monitor's state: same events, same gauges, no second
+implementation (see docs/distributed.md).
 """
 
 from __future__ import annotations
@@ -102,8 +103,8 @@ class HeartbeatMonitor:
 
     The monitor owns no verdict-relevant state; it can be driven
     directly (``observe_beat`` / ``check_stalls`` with an injected
-    clock) for deterministic tests and the socket transport, or via
-    :meth:`start` for real pools.
+    clock) for deterministic tests, or via :meth:`start` for real
+    backends.
     """
 
     def __init__(self, tele, beat_queue, stall_after_s: float | None = None,
@@ -193,20 +194,18 @@ class HeartbeatMonitor:
         return self
 
     def stop(self) -> None:
-        # The socket transport's queue-less monitor never starts a
-        # thread, so it never reaches the queue here.
-        if self._thread is not None:
-            try:
-                # Wake the thread now rather than at its next poll; the
-                # beats queued ahead of the sentinel are still observed.
-                self.queue.put_nowait(_STOP)
-            except Exception:
-                # Full or torn-down queue: end at the next poll instead.
-                self._stop.set()
-            self._thread.join(timeout=5.0)
-            self._thread = None
         try:
-            # Reader-side teardown; workers shed beats once it is gone.
+            # Wake the thread now rather than at its next poll; the
+            # beats queued ahead of the sentinel are still observed.
+            self.queue.put_nowait(_STOP)
+        except Exception:
+            # Full or torn-down queue: end at the next poll instead.
+            self._stop.set()
+        self._thread.join(timeout=5.0)
+        self._thread = None
+        try:
+            # Reader-side teardown of a multiprocessing queue; workers
+            # shed beats once it is gone.  A thread queue has none.
             self.queue.close()
             self.queue.cancel_join_thread()
         except (AttributeError, OSError):

@@ -38,12 +38,11 @@ import time
 
 from repro.core.engine import heartbeat as _heartbeat
 from repro.core.engine.heartbeat import make_beat
-from repro.core.engine.sockets import WorkerHub, set_ambient_hub
+from repro.core.engine.sockets import WorkerHub, _Conn, set_ambient_hub
 from repro.core.engine.tasks import (_worker_init, campaign_input_worker,
                                      session_run_worker)
 from repro.core.engine.wire import (WireError, build_factory, build_program,
-                                    decode_frame, encode_frame, pack_blob,
-                                    unpack_blob)
+                                    pack_blob, unpack_blob)
 from repro.errors import CheckerError, ReproError, SessionInterrupted
 
 
@@ -55,34 +54,6 @@ def _parse_connect(spec: str) -> tuple[str, int]:
         return host, int(port)
     except ValueError:
         raise CheckerError(f"--connect port must be a number, got {port!r}")
-
-
-class _Conn:
-    """A synchronous framed connection (worker/submit client side)."""
-
-    def __init__(self, sock: socket.socket):
-        self.sock = sock
-        self.rfile = sock.makefile("rb")
-        self.wfile = sock.makefile("wb")
-        self._wlock = threading.Lock()  # heartbeats vs. results
-
-    def send(self, frame: dict) -> None:
-        with self._wlock:
-            self.wfile.write(encode_frame(frame))
-            self.wfile.flush()
-
-    def recv(self) -> dict | None:
-        line = self.rfile.readline()
-        if not line:
-            return None
-        return decode_frame(line)
-
-    def close(self) -> None:
-        for closer in (self.wfile.close, self.rfile.close, self.sock.close):
-            try:
-                closer()
-            except OSError:
-                pass
 
 
 def _connect(host: str, port: int, retry_for_s: float = 0.0) -> _Conn:

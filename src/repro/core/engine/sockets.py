@@ -1,12 +1,13 @@
 """The socket backend: a worker hub and the coordinator transport.
 
-:class:`WorkerHub` is the parent-side rendezvous point: an asyncio
-server on its own daemon thread that ``repro worker`` processes connect
-to (frames in :mod:`repro.core.engine.wire`).  It owns the fleet —
-who is connected, who is busy — and, one batch at a time, dispatches
-task descriptors to idle workers in index order (one outstanding run
-per worker, so start order stays FIFO and early cancellation keeps the
-same bit-identity argument as the local pool).
+:class:`WorkerHub` is the parent-side rendezvous point that ``repro
+worker`` processes connect to (frames in :mod:`repro.core.engine.wire`):
+one listening socket, one accept thread, and one blocking reader thread
+per connection.  It owns the fleet — who is connected, who is busy —
+and, one batch at a time, dispatches task descriptors to idle workers
+in index order (one outstanding run per worker, so start order stays
+FIFO and early cancellation keeps the same bit-identity argument as the
+local pool).
 
 Delivery is **at-least-once**: a worker that disconnects mid-run (the
 SIGKILL analog of a pool worker dying) gets its unacknowledged index
@@ -28,17 +29,18 @@ standalone use sets ``REPRO_SOCKET_PORT`` and points ``repro worker
 
 from __future__ import annotations
 
-import asyncio
 import bisect
 import os
 import queue as queue_mod
+import socket
 import threading
 import time
 
+from repro.core.engine.coordinator import Transport
 from repro.core.engine.executors import CRASHED
 from repro.core.engine.heartbeat import HeartbeatMonitor
-from repro.core.engine.transports import Transport
-from repro.core.engine.wire import WireError, decode_frame, encode_frame
+from repro.core.engine.wire import (WireError, decode_frame, encode_frame,
+                                    unpack_blob)
 from repro.errors import CheckerError
 
 #: Environment variable naming the hub port for standalone (non-serve)
@@ -59,14 +61,44 @@ _FRAME_LIMIT = 64 * 1024 * 1024
 _DONE = object()  # results-queue sentinel: the batch is fully resolved
 
 
+class _Conn:
+    """A blocking framed connection — the hub's side of every peer, and
+    the ``repro worker`` / ``repro submit`` side of the hub."""
+
+    def __init__(self, sock: socket.socket):
+        self.sock = sock
+        self.rfile = sock.makefile("rb")
+        self._wlock = threading.Lock()  # e.g. heartbeats vs. results
+
+    def send(self, frame: dict) -> None:
+        with self._wlock:
+            self.sock.sendall(encode_frame(frame))
+
+    def recv(self) -> dict | None:
+        """The next frame, or None at EOF.  A garbled line or one over
+        :data:`_FRAME_LIMIT` raises :class:`WireError`."""
+        line = self.rfile.readline(_FRAME_LIMIT + 1)
+        if not line:
+            return None
+        if len(line) > _FRAME_LIMIT:
+            raise WireError(f"frame exceeds {_FRAME_LIMIT} bytes")
+        return decode_frame(line)
+
+    def close(self) -> None:
+        for closer in (self.rfile.close, self.sock.close):
+            try:
+                closer()
+            except OSError:
+                pass
+
+
 class WorkerHub:
     """The fleet side of the socket backend (one per daemon/session).
 
-    Thread model: the hub's asyncio loop runs on a private daemon
-    thread and owns all connection and batch state; everything public
-    (:meth:`begin_batch`, :meth:`cancel_batch`, :meth:`end_batch`,
-    :meth:`reply`) marshals onto that loop and is safe to call from any
-    thread.  Results cross back on a plain thread-safe queue.
+    Thread model: an accept thread and one reader thread per
+    connection; all fleet and batch state sits behind one lock, so every
+    public method is a plain call, safe from any thread.  Results cross
+    to the coordinator on a thread-safe queue.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
@@ -79,172 +111,165 @@ class WorkerHub:
         #: Session/campaign submissions from ``client`` connections,
         #: drained by the serve daemon: ``(frame, conn_id)`` pairs.
         self.submissions: queue_mod.Queue = queue_mod.Queue()
-        self.loop: asyncio.AbstractEventLoop | None = None
-        self.workers: dict = {}   # conn id -> connection state
+        self.peers: dict = {}  # conn id -> state, hello'd or not
+        self._lock = threading.Lock()
         self._batch: dict | None = None
         self._generation = 0
         self._next_conn_id = 0
-        self._server = None
-        self._stall_task = None
-        self._thread: threading.Thread | None = None
-        self._startup_error: BaseException | None = None
+        self._listener: socket.socket | None = None
+        self._threads: list = []  # the accept thread, then the readers
 
-    # -- lifecycle (any thread) ----------------------------------------------
+    # -- lifecycle -----------------------------------------------------------
 
     def start(self) -> "WorkerHub":
-        if self._thread is not None:
+        if self._listener is not None:
             return self
-        ready = threading.Event()
-        self._thread = threading.Thread(target=self._run, args=(ready,),
-                                        name="repro-socket-hub", daemon=True)
-        self._thread.start()
-        ready.wait(timeout=10.0)
-        if self._startup_error is not None:
-            raise CheckerError(
-                f"socket hub failed to listen on "
-                f"{self.host}:{self.port}: {self._startup_error}")
-        if self.loop is None:
-            raise CheckerError("socket hub failed to start")
+        try:
+            self._listener = socket.create_server(
+                (self.host, self.port),
+                family=socket.AF_INET6 if ":" in self.host
+                else socket.AF_INET)
+        except OSError as exc:
+            raise CheckerError(f"socket hub failed to listen on "
+                               f"{self.host}:{self.port}: {exc}") from exc
+        self.port = self._listener.getsockname()[1]
+        self._spawn(self._accept_loop, "repro-socket-hub")
         return self
 
     def stop(self) -> None:
-        loop, self.loop = self.loop, None
-        if loop is not None:
-            loop.call_soon_threadsafe(loop.stop)
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
-
-    def _run(self, ready: threading.Event) -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        try:
-            self._server = loop.run_until_complete(
-                asyncio.start_server(self._serve_conn, self.host, self.port,
-                                     limit=_FRAME_LIMIT))
-            self.port = self._server.sockets[0].getsockname()[1]
-            self.loop = loop
-        except BaseException as exc:  # bind failure: surface in start()
-            self._startup_error = exc
-            ready.set()
-            loop.close()
-            return
-        ready.set()
-        try:
-            loop.run_forever()
-        finally:
-            self._server.close()
-            for conn in list(self.workers.values()):
+        """Close the listener and every connection; join every thread."""
+        with self._lock:
+            listener, self._listener = self._listener, None
+            if listener is None:
+                return
+            threads = list(self._threads)
+            # Under the lock: a reader closes its socket only after
+            # leaving `peers`, so none of these is closed yet.
+            for sock in [listener] + [peer["conn"].sock
+                                      for peer in self.peers.values()]:
                 try:
-                    conn["writer"].close()
-                except Exception:
-                    pass
-            loop.close()
+                    sock.shutdown(socket.SHUT_RDWR)  # wakes accept/recv
+                except OSError:
+                    pass  # reset by the peer
+        listener.close()
+        for thread in threads:
+            thread.join(timeout=5.0)
 
-    def _call(self, coro):
-        """Run *coro* on the hub loop; returns a concurrent future."""
-        if self.loop is None:
-            raise CheckerError("socket hub is not running")
-        return asyncio.run_coroutine_threadsafe(coro, self.loop)
+    def _spawn(self, target, name: str, *args) -> None:
+        thread = threading.Thread(target=target, args=args, name=name,
+                                  daemon=True)
+        self._threads = [t for t in self._threads if t.is_alive()]
+        self._threads.append(thread)
+        thread.start()
 
-    # -- batch API (any thread; resolves on the hub loop) --------------------
+    def _accept_loop(self) -> None:
+        listener = self._listener
+        while True:
+            try:
+                sock, _addr = listener.accept()
+            except OSError:
+                if self._listener is None:
+                    return  # stop() closed the listener
+                time.sleep(0.1)  # e.g. out of fds: retry without spinning
+                continue
+            with self._lock:
+                if self._listener is None:
+                    sock.close()
+                    return
+                conn_id = self._next_conn_id
+                self._next_conn_id += 1
+                peer = {"conn": _Conn(sock), "role": None, "pid": None,
+                        "index": None}
+                self.peers[conn_id] = peer
+                self._spawn(self._serve_conn, f"repro-socket-conn-{conn_id}",
+                            conn_id, peer)
+
+    # -- batch API (any thread) ----------------------------------------------
 
     def begin_batch(self, tasks: dict, deadline=None, monitor=None,
                     telemetry=None):
         """Submit one index-keyed descriptor batch; returns the
         thread-safe results queue (``(index, value)`` then ``_DONE``)."""
-        return self._call(
-            self._begin_batch(tasks, deadline, monitor, telemetry))
+        with self._lock:
+            if self._listener is None:
+                raise CheckerError("socket hub is not running")
+            if self._batch is not None:
+                raise CheckerError(
+                    "socket hub already has a batch in flight")
+            self._generation += 1
+            self._batch = {
+                "gen": self._generation,
+                "tasks": tasks,
+                "pending": sorted(tasks),
+                "unacked": {},        # index -> conn id
+                "attempts": {},       # index -> dispatch count
+                "delivered": set(),
+                "deadline": deadline,
+                "results": queue_mod.Queue(),
+                "monitor": monitor,
+                "tele": telemetry,
+                "cancelled": False,
+                "floor": None,
+                "done": False,
+            }
+            self._dispatch()
+            return self._batch["results"]
 
-    def cancel_batch(self, floor=None):
+    def cancel_batch(self, floor=None) -> int:
         """Revoke undispatched indexes above *floor*; returns the count."""
-        return self._call(self._cancel_batch(floor))
+        with self._lock:
+            batch = self._batch
+            if batch is None:
+                return 0
+            batch["cancelled"] = True
+            batch["floor"] = floor
+            keep = [i for i in batch["pending"]
+                    if floor is not None and i <= floor]
+            revoked = len(batch["pending"]) - len(keep)
+            batch["pending"] = keep
+            self._check_done()
+            return revoked
 
-    def end_batch(self):
-        return self._call(self._end_batch())
+    def end_batch(self) -> None:
+        with self._lock:
+            self._batch = None
 
     def reply(self, conn_id: int, frame: dict) -> None:
         """Send one frame to a client connection (serve's verdict path)."""
-        if self.loop is not None:
-            self.loop.call_soon_threadsafe(self._reply, conn_id, frame)
+        peer = self.peers.get(conn_id)
+        if peer is not None:  # sent without the lock: reports can be large
+            self._send(peer["conn"], frame)
 
     def n_workers(self) -> int:
-        return sum(1 for c in self.workers.values()
-                   if c.get("role") == "worker")
+        return sum(1 for peer in list(self.peers.values())
+                   if peer["role"] == "worker")
 
-    # -- hub-loop internals --------------------------------------------------
-
-    async def _begin_batch(self, tasks, deadline, monitor, telemetry):
-        if self._batch is not None:
-            raise CheckerError("socket hub already has a batch in flight")
-        self._generation += 1
-        self._batch = {
-            "gen": self._generation,
-            "tasks": tasks,
-            "pending": sorted(tasks),
-            "unacked": {},        # index -> conn id
-            "attempts": {},       # index -> dispatch count
-            "delivered": set(),
-            "deadline": deadline,
-            "results": queue_mod.Queue(),
-            "monitor": monitor,
-            "tele": telemetry,
-            "cancelled": False,
-            "floor": None,
-            "done": False,
-        }
-        if monitor is not None:
-            self._stall_task = asyncio.get_running_loop().create_task(
-                self._stall_loop(monitor))
-        self._dispatch()
-        return self._batch["results"]
-
-    async def _cancel_batch(self, floor):
-        batch = self._batch
-        if batch is None:
-            return 0
-        batch["cancelled"] = True
-        batch["floor"] = floor
-        keep = [i for i in batch["pending"]
-                if floor is not None and i <= floor]
-        revoked = len(batch["pending"]) - len(keep)
-        batch["pending"] = keep
-        self._check_done()
-        return revoked
-
-    async def _end_batch(self):
-        self._batch = None
-        if self._stall_task is not None:
-            self._stall_task.cancel()
-            self._stall_task = None
-
-    async def _stall_loop(self, monitor):
-        while True:
-            await asyncio.sleep(monitor.poll_s)
-            monitor.check_stalls()
+    # -- internals (called with the lock held) -------------------------------
 
     def _dispatch(self) -> None:
         """Hand pending indexes, lowest first, to idle workers."""
         batch = self._batch
         if batch is None or batch["done"]:
             return
-        for conn_id, conn in self.workers.items():
+        for conn_id, peer in self.peers.items():
             if not batch["pending"]:
                 break
-            if conn.get("role") != "worker" or conn["index"] is not None:
+            if peer["role"] != "worker" or peer["index"] is not None:
                 continue
             index = batch["pending"].pop(0)
             batch["attempts"][index] = batch["attempts"].get(index, 0) + 1
             batch["unacked"][index] = conn_id
-            conn["index"] = index
+            peer["index"] = index
             task = dict(batch["tasks"][index])
             if batch["deadline"] is not None:
                 # Absolute monotonic deadlines do not travel between
                 # machines; stamp the *remaining* budget at dispatch.
                 task["deadline_s"] = max(
                     0.0, batch["deadline"] - time.monotonic())
-            self._send(conn, {"type": "run", "gen": batch["gen"],
-                              "index": index, "task": task})
+            # A worker holds at most one run frame, so sending it under
+            # the lock cannot back up behind the worker's reads.
+            self._send(peer["conn"], {"type": "run", "gen": batch["gen"],
+                                      "index": index, "task": task})
         self._check_done()
 
     def _check_done(self) -> None:
@@ -254,16 +279,12 @@ class WorkerHub:
             batch["done"] = True
             batch["results"].put(_DONE)
 
-    def _send(self, conn, frame: dict) -> None:
+    @staticmethod
+    def _send(conn: _Conn, frame: dict) -> None:
         try:
-            conn["writer"].write(encode_frame(frame))
-        except Exception:
-            pass  # a dying connection is handled by its reader loop
-
-    def _reply(self, conn_id: int, frame: dict) -> None:
-        conn = self.workers.get(conn_id)
-        if conn is not None:
-            self._send(conn, frame)
+            conn.send(frame)
+        except (OSError, ValueError):
+            pass  # a dying connection is handled by its reader thread
 
     def _event(self, name: str, **fields) -> None:
         batch = self._batch
@@ -272,66 +293,52 @@ class WorkerHub:
         if tele:
             tele.event(name, **fields)
 
-    # -- connection handling -------------------------------------------------
+    # -- connection handling (one reader thread per connection) --------------
 
-    async def _serve_conn(self, reader, writer) -> None:
-        conn_id = self._next_conn_id
-        self._next_conn_id += 1
-        conn = {"writer": writer, "role": None, "pid": None, "index": None}
+    def _serve_conn(self, conn_id: int, peer: dict) -> None:
+        conn = peer["conn"]
         try:
-            hello = await self._read_frame(reader)
+            hello = conn.recv()
             if hello is None or hello["type"] != "hello":
                 return
-            conn["role"] = hello.get("role", "worker")
-            conn["pid"] = hello.get("pid")
-            self.workers[conn_id] = conn
             self._send(conn, {"type": "welcome", "server": "repro"})
-            if conn["role"] == "worker":
-                self._event("worker_connected", worker=conn["pid"],
-                            fleet=self.n_workers())
-                self._dispatch()
-            while True:
-                frame = await self._read_frame(reader)
-                if frame is None or frame["type"] == "bye":
-                    return
-                self._handle_frame(conn_id, conn, frame)
+            with self._lock:
+                peer["role"] = hello.get("role", "worker")
+                peer["pid"] = hello.get("pid")
+                if peer["role"] == "worker":
+                    self._event("worker_connected", worker=peer["pid"],
+                                fleet=self.n_workers())
+                    self._dispatch()
+            while (frame := conn.recv()) is not None \
+                    and frame["type"] != "bye":
+                self._handle_frame(conn_id, peer, frame)
+        except (OSError, ValueError, WireError):
+            pass  # a reset, closed, garbled or over-long peer: drop it
         finally:
-            self.workers.pop(conn_id, None)
-            if conn["role"] == "worker":
-                self._worker_lost(conn)
-            try:
-                writer.close()
-            except Exception:
-                pass
+            with self._lock:
+                self.peers.pop(conn_id, None)
+                if peer["role"] == "worker":
+                    self._worker_lost(peer)
+            conn.close()
 
-    async def _read_frame(self, reader):
-        try:
-            line = await reader.readline()
-        except (ConnectionError, OSError, asyncio.LimitOverrunError):
-            return None
-        if not line:
-            return None
-        try:
-            return decode_frame(line)
-        except WireError:
-            return None  # a garbled peer is treated as a disconnect
-
-    def _handle_frame(self, conn_id: int, conn: dict, frame: dict) -> None:
+    def _handle_frame(self, conn_id: int, peer: dict, frame: dict) -> None:
         kind = frame["type"]
         if kind == "result":
-            self._handle_result(conn, frame)
+            # Unpacked first: a garbled payload drops the worker before
+            # its run is marked answered, so the run is requeued.
+            value = unpack_blob(frame.get("payload", ""))
+            with self._lock:
+                self._handle_result(peer, frame, value)
         elif kind == "heartbeat":
-            batch = self._batch
+            batch = self._batch  # observed on the monitor's own thread
             if batch is not None and batch["monitor"] is not None:
-                batch["monitor"].observe_beat(frame.get("beat") or {})
+                batch["monitor"].queue.put(frame.get("beat") or {})
         elif kind == "submit":
             self.submissions.put((frame, conn_id))
         # unknown types are ignored: forward compatibility within v1
 
-    def _handle_result(self, conn: dict, frame: dict) -> None:
-        from repro.core.engine.wire import unpack_blob
-
-        conn["index"] = None
+    def _handle_result(self, peer: dict, frame: dict, value) -> None:
+        peer["index"] = None
         batch = self._batch
         if batch is None or frame.get("gen") != batch["gen"]:
             return  # a stale result from a previous (abandoned) batch
@@ -340,15 +347,15 @@ class WorkerHub:
             return  # duplicate delivery after a requeue: first one won
         if index not in batch["delivered"]:
             batch["delivered"].add(index)
-            batch["results"].put((index, unpack_blob(frame["payload"])))
+            batch["results"].put((index, value))
         self._dispatch()
 
-    def _worker_lost(self, conn: dict) -> None:
+    def _worker_lost(self, peer: dict) -> None:
         """A worker connection dropped: requeue or attribute its run."""
-        index = conn["index"]
-        conn["index"] = None
-        if conn["pid"] is not None:
-            self._event("worker_lost", worker=conn["pid"],
+        index = peer["index"]
+        peer["index"] = None
+        if peer["pid"] is not None:
+            self._event("worker_lost", worker=peer["pid"],
                         fleet=self.n_workers(), run=index)
         batch = self._batch
         if batch is None or index is None:
@@ -411,13 +418,13 @@ class SocketTransport(Transport):
     """The coordinator's view of the worker fleet.
 
     One batch per transport, in plain blocking calls: ``start`` hands
-    the hub the descriptor map and waits for the hub's thread-safe
+    the hub the descriptor map and gets back the hub's thread-safe
     results queue, ``next_result`` blocks on that queue up to the
     session deadline (so a silent fleet cannot outlast it), ``cancel``
-    revokes undispatched indexes above the floor.  Each call into the
-    hub waits on the ``concurrent.futures`` future its loop resolves.
-    The hub outlives the transport — ``close`` ends the batch, not the
-    fleet.
+    revokes undispatched indexes above the floor.  Heartbeat frames
+    reach a started :class:`HeartbeatMonitor` through its queue, so one
+    thread owns the monitor's state, as in the pool.  The hub outlives
+    the transport — ``close`` ends the batch, not the fleet.
     """
 
     name = "socket"
@@ -442,13 +449,14 @@ class SocketTransport(Transport):
             self._finished = True
             return
         if self.telemetry is not None:
-            # Queue-less monitor: the hub feeds decoded heartbeat
-            # frames straight into observe_beat / check_stalls.
-            self.monitor = HeartbeatMonitor(self.telemetry, None,
-                                            stall_after_s=self.stall_after_s)
+            self.monitor = HeartbeatMonitor(
+                self.telemetry, queue_mod.SimpleQueue(),
+                stall_after_s=self.stall_after_s)
         self._results = self.hub.begin_batch(
             tasks, deadline=self.deadline, monitor=self.monitor,
-            telemetry=self.telemetry).result()
+            telemetry=self.telemetry)
+        if self.monitor is not None:
+            self.monitor.start()  # after a refused batch it would leak
 
     def next_result(self):
         if self._finished or self._results is None:
@@ -468,13 +476,10 @@ class SocketTransport(Transport):
 
     def cancel(self, floor: int | None = None) -> None:
         super().cancel(floor)
-        self.cancelled_count += self.hub.cancel_batch(floor).result()
+        self.cancelled_count += self.hub.cancel_batch(floor)
 
     def close(self) -> None:
-        try:
-            self.hub.end_batch().result()
-        except CheckerError:
-            pass  # the hub already stopped (daemon shutdown path)
+        self.hub.end_batch()
         if self.monitor is not None:
             self.monitor.stop()
             self.monitor = None

@@ -1,20 +1,14 @@
-"""Transports: the fan-out backends' execution interface.
+"""The ``process-pool`` transport: runs fanned across a local pool.
 
-A :class:`Transport` is the coordinator's only view of fanned-out
-execution — submit a batch, block for results in completion order,
-cancel with a divergence floor, close.  Every method is a plain
-blocking call.  Two backends implement it:
-
-* :class:`ProcessPoolTransport` (``process-pool``) fans tasks across a
-  local process pool: FIFO submission in index order, cancel-with-floor
-  revoking only unstarted futures, deadline expiry abandoning in-flight
-  work, one pool rebuild then per-task isolation salvage.  Each future's
-  done-callback puts it on a thread-safe completion queue, and
-  :meth:`~ProcessPoolTransport.next_result` blocks on that queue until
-  the deadline.
-* :class:`~repro.core.engine.sockets.SocketTransport` (``socket``)
-  dispatches the same task descriptors to ``repro worker`` processes
-  over newline-delimited JSON frames — see docs/distributed.md.
+:class:`ProcessPoolTransport` implements the coordinator's
+:class:`~repro.core.engine.coordinator.Transport`: FIFO submission in
+index order, cancel-with-floor revoking only unstarted futures,
+deadline expiry abandoning in-flight work, one pool rebuild then
+per-task isolation salvage.  Each future's done-callback puts it on a
+thread-safe completion queue, and
+:meth:`~ProcessPoolTransport.next_result` blocks on that queue until
+the deadline.  The ``socket`` backend lives in
+:mod:`repro.core.engine.sockets` and does not import this module.
 
 The ``serial`` backend is no transport but a plain loop
 (:mod:`repro.core.engine.session`), and never imports this module.
@@ -30,6 +24,7 @@ from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 
 from repro.core.engine import heartbeat as _heartbeat
+from repro.core.engine.coordinator import Transport
 from repro.core.engine.executors import CRASHED, _EXPIRED
 from repro.core.engine.heartbeat import _HEARTBEAT_QUEUE_SIZE, HeartbeatMonitor
 from repro.core.engine.tasks import _worker_init
@@ -42,39 +37,6 @@ def _mp_context():
     if "fork" in methods:
         return multiprocessing.get_context("fork")
     return multiprocessing.get_context()
-
-
-class Transport:
-    """The coordinator's execution interface."""
-
-    name = "abstract"
-
-    def __init__(self):
-        self.cancelled = False    # cancel() was issued mid-stream
-        self.cancelled_count = 0  # tasks revoked before they started
-        self.expired = False      # the deadline cut the stream short
-        self.aborted = False      # an exception unwound the batch
-
-    def start(self, tasks: dict) -> None:
-        """Submit the whole batch, in index order."""
-        raise NotImplementedError
-
-    def next_result(self):
-        """Block for the next ``(index, value)`` in completion order;
-        None at the end of the stream."""
-        raise NotImplementedError
-
-    def cancel(self, floor: int | None = None) -> None:
-        """Stop issuing new work; already-running work is drained.
-
-        *floor* is the lowest run index the caller knows to be
-        divergent: work at or below it must still complete for the
-        truncated verdict to stay bit-identical.
-        """
-        self.cancelled = True
-
-    def close(self) -> None:
-        """Tear down workers/connections; safe to call once, always."""
 
 
 def _run_isolated(task, executor, deadline):

@@ -19,8 +19,9 @@ frame                 fields
 ====================  =====================================================
 ``hello``             ``role`` (worker|client), ``pid``, ``host``
 ``welcome``           ``server`` (repro version string)
-``run``               ``id``, ``task`` (a task descriptor, see below)
-``result``            ``id``, ``index``, ``payload`` (blob: worker dict)
+``run``               ``gen``, ``index``, ``task`` (a task descriptor, see
+                      below)
+``result``            ``gen``, ``index``, ``payload`` (blob: worker dict)
 ``heartbeat``         ``beat`` (pid, runs, checkpoints, last_progress, mono)
 ``bye``               —
 ``submit``            ``what`` (session|campaign), ``app``, ``params``,
@@ -73,7 +74,9 @@ def decode_frame(line: bytes) -> dict:
     """Parse and validate one received line."""
     try:
         frame = json.loads(line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad UTF-8, bad JSON and over-long integers;
+        # RecursionError, nesting deeper than the parser's stack.
         raise WireError(f"undecodable frame: {exc}") from exc
     if not isinstance(frame, dict):
         raise WireError(f"frame must be a JSON object, got {type(frame).__name__}")

@@ -155,3 +155,28 @@ def test_signal_mid_submission_exits_with_infra_code():
     finally:
         client.kill()
         client.wait(timeout=10)
+
+
+def test_sigterm_with_a_connected_worker_shuts_down_cleanly():
+    # The hub's connection threads must be gone by the time the daemon
+    # reports a clean shutdown, and the worker must see a plain EOF.
+    proc, port = _start_serve()
+    worker = subprocess.Popen(
+        [sys.executable, "-m", "repro", "worker",
+         "--connect", f"127.0.0.1:{port}", "--retry-for", "30"],
+        env=_env(), stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        text=True)
+    try:
+        assert "worker: connected" in worker.stderr.readline()
+        proc.send_signal(signal.SIGTERM)
+        stdout, stderr = proc.communicate(timeout=60)
+        assert proc.returncode == 0, (stdout, stderr)
+        assert "shut down cleanly" in stderr
+        assert "Task was destroyed" not in stderr
+        assert "Traceback" not in stderr
+        assert worker.wait(timeout=30) == 0, worker.stderr.read()
+    finally:
+        worker.kill()
+        worker.wait(timeout=10)
+        proc.kill()
+        proc.wait(timeout=10)

@@ -6,13 +6,18 @@ subprocesses on loopback.  Everything the ISSUE's acceptance gate asks
 for runs here: byte-identical verdicts against serial and the
 local process pool, ``stop_on_first`` truncation identity, and the
 requeue path — a worker SIGKILLed mid-batch (via the failpoint
-harness) must not change the verdict by a single byte.
+harness) must not change the verdict by a single byte.  A peer sending
+a garbled, too deeply nested or over-long line is dropped alone; the
+hub keeps serving the fleet.
 """
 
 import json
 import os
+import queue
+import socket
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -23,7 +28,7 @@ from repro.core.checker.serialize import result_to_dict, to_json
 from repro.core.engine import sockets
 from repro.core.engine.model import CheckConfig, InputPoint
 from repro.core.engine.sockets import WorkerHub, set_ambient_hub
-from repro.core.engine.wire import build_named_program
+from repro.core.engine.wire import build_named_program, pack_blob
 from repro.errors import CheckerError, ReproError
 from repro.telemetry import MemorySink, Telemetry
 from repro.workloads import make
@@ -169,6 +174,91 @@ def test_socket_survives_a_killed_worker_bit_identically(fleet):
         _await_fleet(fleet, 2)
 
 
+# -- the hub's shared state under concurrent reader threads ---------------------
+
+
+def _fake_worker(port, pid):
+    """A minimal in-process worker: beat, then answer each run with 2*index."""
+    conn = sockets._Conn(socket.create_connection(("127.0.0.1", port),
+                                                  timeout=30))
+    try:
+        conn.send({"type": "hello", "role": "worker", "pid": pid})
+        assert conn.recv()["type"] == "welcome"
+        while (frame := conn.recv()) is not None:
+            if frame["type"] == "run":
+                conn.send({"type": "heartbeat", "beat": {"pid": pid}})
+                conn.send({"type": "result", "gen": frame["gen"],
+                           "index": frame["index"],
+                           "payload": pack_blob(2 * frame["index"])})
+    finally:
+        conn.close()
+
+
+def test_hub_delivers_each_run_once_under_thread_contention():
+    # More fake workers than cores and a tiny switch interval: a lost
+    # update to the batch state would drop, duplicate or hang a run.
+    from repro.core.engine.heartbeat import HeartbeatMonitor
+
+    hub = WorkerHub(port=0).start()
+    tele = Telemetry(MemorySink())
+    monitor = HeartbeatMonitor(tele, queue.SimpleQueue()).start()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    workers = [threading.Thread(target=_fake_worker, args=(hub.port, pid),
+                                daemon=True) for pid in range(6)]
+    try:
+        for thread in workers:
+            thread.start()
+        _await_fleet(hub, 6)
+        results = hub.begin_batch({i: {} for i in range(300)},
+                                  monitor=monitor)
+        got = []
+        while (item := results.get(timeout=60)) is not sockets._DONE:
+            got.append(item)
+        hub.end_batch()
+    finally:
+        sys.setswitchinterval(interval)
+        monitor.stop()
+        hub.stop()
+    for thread in workers:
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+    assert sorted(got) == [(i, 2 * i) for i in range(300)]
+    assert hub.n_workers() == 0
+    beats = [e for e in tele.sink.events if e.get("name") == "worker_heartbeat"]
+    assert len(beats) == 300
+
+
+# -- malformed peers: dropped, the hub keeps serving ---------------------------
+
+
+def _closed_by_peer(sock) -> bool:
+    sock.settimeout(10.0)
+    try:
+        return sock.recv(1) == b""
+    except ConnectionResetError:
+        return True  # closed with our unread bytes still queued
+
+
+def test_hub_drops_malformed_peers_and_keeps_serving(fleet, monkeypatch):
+    before = fleet.n_workers()
+    bad_lines = [b"\xff\xfe not json\n", b"[" * 100000 + b"\n"]
+    for line in bad_lines:
+        with socket.create_connection(("127.0.0.1", fleet.port)) as sock:
+            sock.sendall(line)
+            assert _closed_by_peer(sock)
+    with monkeypatch.context() as patch:
+        patch.setattr(sockets, "_FRAME_LIMIT", 1024)
+        with socket.create_connection(("127.0.0.1", fleet.port)) as sock:
+            sock.sendall(b"x" * 4096 + b"\n")
+            assert _closed_by_peer(sock)
+    assert fleet.n_workers() == before
+    serial = check_determinism(make("fft"), CheckConfig(runs=6))
+    socketed = check_determinism(
+        make("fft"), CheckConfig(runs=6, workers=2, executor="socket"))
+    assert _canonical(serial) == _canonical(socketed)
+
+
 # -- refusals ------------------------------------------------------------------
 
 
@@ -178,6 +268,11 @@ def test_socket_without_a_hub_is_a_pointed_error(monkeypatch):
     with pytest.raises(CheckerError, match="repro serve"):
         check_determinism(make("fft"),
                           CheckConfig(runs=4, workers=2, executor="socket"))
+
+
+def test_hub_bind_failure_raises_from_start(fleet):
+    with pytest.raises(CheckerError, match="failed to listen"):
+        WorkerHub(port=fleet.port).start()
 
 
 def test_socket_refuses_unspecced_programs(fleet):

@@ -4,12 +4,15 @@ The invariants the distributed layer leans on: frames are versioned
 and reject mismatches loudly; data blobs round-trip; programs travel
 by registry name only — every name-built program carries a spec, a
 hand-built one is refused with a pointed error, and both ends of the
-wire resolve a name to the same program.
+wire resolve a name to the same program.  Whatever bytes arrive,
+``decode_frame`` returns a valid frame or raises ``WireError``.
 """
 
+import json
 import pickle
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.core.engine import wire
 from repro.core.engine.wire import (ProgramFactory, WireError,
@@ -59,6 +62,44 @@ def test_garbage_frame_rejected():
         decode_frame(b"\xff\xfe not json\n")
     with pytest.raises(WireError, match="JSON object"):
         decode_frame(b'[1, 2, 3]\n')
+
+
+def _decodes_or_refuses(line: bytes) -> None:
+    """decode_frame's whole contract: a valid frame or a WireError."""
+    try:
+        frame = decode_frame(line)
+    except WireError:
+        return
+    assert isinstance(frame, dict)
+    assert frame["v"] == wire.WIRE_VERSION
+    assert isinstance(frame["type"], str)
+
+
+@pytest.mark.parametrize("line", [b"[" * 100000, b'{"a":' * 100000,
+                                  b"1" * 5000],
+                         ids=["deep-array", "deep-object", "huge-int"])
+def test_deeply_nested_or_huge_frame_is_a_wire_error(line):
+    with pytest.raises(WireError, match="undecodable"):
+        decode_frame(line)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
+    max_leaves=20)
+
+
+@given(st.binary())
+def test_arbitrary_bytes_decode_or_raise_wire_error(line):
+    _decodes_or_refuses(line)
+
+
+@given(_JSON, st.dictionaries(
+    st.sampled_from(["v", "type", "index"]), _JSON | st.just(1)))
+def test_arbitrary_json_decodes_or_raises_wire_error(value, frame):
+    _decodes_or_refuses(json.dumps(value).encode())
+    _decodes_or_refuses(json.dumps(frame).encode())
+    _decodes_or_refuses(encode_frame(frame))
 
 
 # -- blobs --------------------------------------------------------------------

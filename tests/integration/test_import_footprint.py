@@ -12,7 +12,9 @@ machinery either: ``concurrent.futures``, ``multiprocessing``,
 ``socket``, ``ssl`` and ``selectors`` stay out of a serial check and of
 a single-input serial campaign.  A process-pool session needs the
 process machinery, but its fan-out loop is blocking code on threads
-and queues, so it loads neither ``asyncio`` nor ``ssl``.
+and queues, so it loads neither ``asyncio`` nor ``ssl``.  The socket
+side — ``repro serve``/``worker``/``submit`` and a running hub — is
+plain threads too and loads none of the pool machinery.
 """
 
 import json
@@ -88,3 +90,27 @@ def test_pool_check_loads_no_event_loop():
                              "--executor", "process-pool")
     assert "repro.core.engine.transports" in modules
     assert _unused(modules, NOT_LOADED_BY_POOL_CHECK) == []
+
+
+#: Modules the socket side (service module plus a live hub) has no use for.
+NOT_LOADED_BY_SOCKET_SIDE = ("asyncio", "ssl", "concurrent.futures",
+                             "multiprocessing",
+                             "repro.core.engine.transports")
+
+HUB_PROBE = """\
+import json, sys
+import repro.core.engine.service
+from repro.core.engine.sockets import WorkerHub
+WorkerHub(port=0).start().stop()
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def test_socket_side_loads_no_event_loop_or_pool():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC_ROOT + os.pathsep + env.get("PYTHONPATH", "")
+    done = subprocess.run([sys.executable, "-c", HUB_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    modules = json.loads(done.stdout.strip().splitlines()[-1])
+    assert _unused(modules, NOT_LOADED_BY_SOCKET_SIDE) == []
