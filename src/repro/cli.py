@@ -68,7 +68,8 @@ from repro.errors import CheckerError, ReproError, SessionInterrupted
 from repro.sim.faults import FAULT_REGISTRY
 from repro.sim.memmodel import MEMORY_MODELS
 from repro.sim.scheduler import SCHEDULERS
-from repro.workloads import REGISTRY, make, seeded_program
+from repro.workloads import (REGISTRY, build_named_program, make,
+                             seeded_program)
 from repro.workloads.seeded_bugs import SEEDED, SEEDED_BUGS
 
 #: Uniform process exit codes (satellite of the robustness work).
@@ -249,49 +250,6 @@ def _build_parser() -> argparse.ArgumentParser:
     f8 = sub.add_parser("fig8", help="seeded-bug distributions")
     f8.add_argument("--runs", type=int, default=30)
 
-    serve = sub.add_parser(
-        "serve", help="long-lived checking daemon: accept worker "
-        "connections and queued session/campaign submissions "
-        "(docs/distributed.md)")
-    serve.add_argument("--host", default="127.0.0.1",
-                       help="interface to listen on (default: loopback)")
-    serve.add_argument("--port", type=int, default=0,
-                       help="port to listen on (0 picks a free port; the "
-                       "bound address is printed to stderr)")
-    serve.add_argument("--telemetry", metavar="PATH",
-                       help="write telemetry events (JSONL) to PATH")
-    _add_observability_args(serve)
-
-    worker = sub.add_parser(
-        "worker", help="connect to a 'repro serve' hub and execute "
-        "dispatched runs until the hub says bye")
-    worker.add_argument("--connect", required=True, metavar="HOST:PORT",
-                        help="the serve daemon's hub address")
-    worker.add_argument("--retry-for", type=float, default=10.0,
-                        metavar="SEC", dest="retry_for",
-                        help="keep retrying the connection this long "
-                        "(worker-before-daemon starts; default 10s)")
-
-    submit = sub.add_parser(
-        "submit", help="submit one session/campaign to a 'repro serve' "
-        "daemon and relay its verdict")
-    submit.add_argument("app", choices=CHECKABLE)
-    submit.add_argument("--connect", required=True, metavar="HOST:PORT",
-                        help="the serve daemon's hub address")
-    submit.add_argument("--what", choices=("session", "campaign"),
-                        default="session")
-    submit.add_argument("--runs", type=int, default=12)
-    submit.add_argument("--scheme", choices=SCHEME_KINDS, default="hw")
-    submit.add_argument("--seed", type=int, default=1000)
-    submit.add_argument("--workers", type=_parse_workers, default=2,
-                        metavar="N",
-                        help="advisory fan-out width on the daemon side")
-    submit.add_argument("--inputs", nargs="*", metavar="NAME[:K=V,...]",
-                        default=None,
-                        help="campaign input points (as in 'repro campaign')")
-    submit.add_argument("--retry-for", type=float, default=10.0,
-                        metavar="SEC", dest="retry_for",
-                        help="keep retrying the connection this long")
     return parser
 
 
@@ -319,11 +277,9 @@ def _add_robustness_args(parser) -> None:
                         "engine: a count or 'auto' (one per CPU); default 1 "
                         "= serial")
     parser.add_argument("--executor", default="auto",
-                        choices=("auto", "serial", "process-pool", "socket"),
+                        choices=("auto", "serial", "process-pool"),
                         help="execution backend; 'auto' picks serial for "
-                        "--workers 1 and process-pool otherwise; socket "
-                        "dispatches runs to 'repro worker' processes (needs "
-                        "'repro serve' or REPRO_SOCKET_PORT)")
+                        "--workers 1 and process-pool otherwise")
 
 
 def _add_observability_args(parser) -> None:
@@ -392,14 +348,7 @@ def _robustness_overrides(args) -> dict:
 
 
 def _make_program(name: str, **params):
-    """Build a Table 1 application, fault probe, or seeded-bug variant.
-
-    Delegates to the wire module's dispatcher so the CLI and a socket
-    worker resolve a name identically (and the instance carries the
-    registry spec the socket executor ships instead of code).
-    """
-    from repro.core.engine.wire import build_named_program
-
+    """Build a Table 1 application, fault probe, or seeded-bug variant."""
     return build_named_program(name, **params)
 
 
@@ -408,24 +357,14 @@ class _AppFactory:
 
     ``run_campaign`` previously took a lambda closing over the app name;
     with ``--workers`` the factory travels to worker processes, and a
-    lambda cannot be pickled — a module-level class instance can.  The
-    :class:`~repro.core.engine.wire.ProgramFactory` base additionally
-    makes it wire-able: ``--executor socket`` campaigns ship only the
-    app name.
+    lambda cannot be pickled — a module-level class instance can.
     """
 
     def __init__(self, app: str):
-        from repro.core.engine.wire import ProgramFactory
-
-        self._delegate = ProgramFactory(app)
         self.app = app
 
-    @property
-    def wire_spec(self) -> dict:
-        return self._delegate.wire_spec
-
     def __call__(self, **params):
-        return self._delegate(**params)
+        return build_named_program(self.app, **params)
 
 
 def _open_plane(args):
@@ -905,24 +844,6 @@ def _cmd_fig8(args, out) -> int:
     return 0
 
 
-def _cmd_serve(args, out) -> int:
-    from repro.core.engine.service import run_serve
-
-    return run_serve(args, out)
-
-
-def _cmd_worker(args, out) -> int:
-    from repro.core.engine.service import run_worker
-
-    return run_worker(args)
-
-
-def _cmd_submit(args, out) -> int:
-    from repro.core.engine.service import run_submit
-
-    return run_submit(args, out)
-
-
 _COMMANDS = {
     "list": _cmd_list,
     "check": _cmd_check,
@@ -941,9 +862,6 @@ _COMMANDS = {
     "fig5": _cmd_fig5,
     "fig6": _cmd_fig6,
     "fig8": _cmd_fig8,
-    "serve": _cmd_serve,
-    "worker": _cmd_worker,
-    "submit": _cmd_submit,
 }
 
 

@@ -8,13 +8,11 @@ sessions, campaigns — is one instantiation of the same pipeline:
   needs (scheme variants, retry/budget policy, worker topology);
 * a serial session is one plain loop
   (:func:`~repro.core.engine.session.run_inline`), shared with the
-  pool's record phase; the fan-out backends — ``process-pool`` and
-  ``socket`` (docs/distributed.md) — are
-  :class:`~repro.core.engine.coordinator.Transport` classes driven by
-  the :class:`~repro.core.engine.coordinator.Coordinator`, a blocking
-  loop over threads and thread-safe queues.  A session
-  imports only the backend it runs (the coordinator, transports and
-  sockets are re-exported here lazily);
+  pool's record phase; the ``process-pool`` backend is a
+  :class:`~repro.core.engine.coordinator.Transport` driven by the
+  :class:`~repro.core.engine.coordinator.Coordinator`, a blocking loop
+  over a thread-safe queue.  A session imports only the backend it
+  runs (the coordinator and transports are re-exported here lazily);
 * an incremental :class:`~repro.core.engine.judge.Judge` folds each
   run's checkpoint-hash sequence into the verdict as it arrives and can
   issue a cancel signal — ``stop_on_first`` cancels outstanding work
@@ -50,7 +48,7 @@ __all__ = [
     "SessionPlan", "Judge", "first_divergent_run", "make_verdict",
     "record_key", "resolve_workers", "execute_session", "execute_campaign",
     "Coordinator", "Feedback", "coordinate", "Transport",
-    "ProcessPoolTransport", "SocketTransport", "WorkerHub",
+    "ProcessPoolTransport",
 ]
 
 #: Re-exports whose modules load on first access (module ``__getattr__``).
@@ -60,8 +58,6 @@ _DEFERRED = {
     "coordinate": "repro.core.engine.coordinator",
     "Transport": "repro.core.engine.coordinator",
     "ProcessPoolTransport": "repro.core.engine.transports",
-    "SocketTransport": "repro.core.engine.sockets",
-    "WorkerHub": "repro.core.engine.sockets",
 }
 
 

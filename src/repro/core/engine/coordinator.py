@@ -1,8 +1,7 @@
 """The transport-agnostic coordinator: the fan-out scheduling loop.
 
-The two fan-out backends — the local process pool and the socket
-worker fleet — are driven by the same loop: submit the task batch
-through a :class:`Transport`, block on
+The fan-out backend — the local process pool — is driven by one
+loop: submit the task batch through a :class:`Transport`, block on
 results in completion order, fold each one into the caller's
 *feedback* object (the incremental judge for sessions, the outcome
 recorder for campaigns), and steer cancellation:
@@ -19,9 +18,9 @@ The coordinator owns no backend specifics: retry rides inside the task
 functions (:func:`~repro.core.engine.tasks.attempt_run`, applied where
 the run executes), deadlines travel to the transport, and the feedback
 object owns verdict state.  The loop is plain blocking code: the
-transports' own threads (the pool's manager thread, the socket hub's
-reader threads) produce results onto thread-safe queues, and a blocking
-``get`` on such a queue stays interruptible by a shutdown signal.
+transport's own thread (the pool's manager thread) produces results
+onto a thread-safe queue, and a blocking ``get`` on that queue stays
+interruptible by a shutdown signal.
 """
 
 from __future__ import annotations

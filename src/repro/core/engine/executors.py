@@ -3,18 +3,14 @@
 * ``serial`` — :func:`~repro.core.engine.session.serial_session` runs
   every run inline, in index order, in one plain loop;
 * ``process-pool`` — :class:`~repro.core.engine.transports.
-  ProcessPoolTransport` fans runs across a local process pool;
-* ``socket`` — :class:`~repro.core.engine.sockets.SocketTransport`
-  dispatches runs to ``repro worker`` processes, possibly on other
-  machines (docs/distributed.md).
+  ProcessPoolTransport` fans runs across a local process pool.
 
-The two fan-out backends are
-:class:`~repro.core.engine.coordinator.Transport` classes that the
-engine's :class:`~repro.core.engine.coordinator.Coordinator` drives in
-one blocking loop — submit a batch, fold results in completion order,
-cancel mid-stream on the judge's early-exit signal.  The loop runs on
-no event loop: the pool's manager thread and the socket hub's reader
-threads hand results over thread-safe queues.
+The pool is the one :class:`~repro.core.engine.coordinator.Transport`
+class; the engine's :class:`~repro.core.engine.coordinator.Coordinator`
+drives it in one blocking loop — submit a batch, fold results in
+completion order, cancel mid-stream on the judge's early-exit signal.
+The loop runs on no event loop: the pool's manager thread hands
+results over a thread-safe queue.
 
 The worker task functions live in :mod:`repro.core.engine.tasks` and
 the heartbeat plane in :mod:`repro.core.engine.heartbeat`.
@@ -51,16 +47,14 @@ def resolve_workers(workers) -> int:
 
 #: The executor-backend registry (the 9th catalog family).  Each
 #: backend's module is imported when its name is first looked up, not
-#: with this module: a serial session never loads the pool or socket
-#: code.  Registration order is the listing order.
+#: with this module: a serial session never loads the pool code.
+#: Registration order is the listing order.
 EXECUTORS = Registry("executors", error=CheckerError,
                      what="executor backend")
 EXECUTORS.register_deferred(
     "serial", "repro.core.engine.session:serial_session")
 EXECUTORS.register_deferred(
     "process-pool", "repro.core.engine.transports:ProcessPoolTransport")
-EXECUTORS.register_deferred(
-    "socket", "repro.core.engine.sockets:SocketTransport")
 
 
 def resolve_executor(name: str, n_workers: int) -> str:

@@ -1,4 +1,4 @@
-"""Worker heartbeats: the live health plane for every pooled backend.
+"""Worker heartbeats: the live health plane for the process pool.
 
 When the parent session has telemetry enabled, each worker starts a
 daemon beat thread that pushes a small liveness record — pid, runs
@@ -13,12 +13,9 @@ visible *during* the run without perturbing the verdict.  Beats are
 fire-and-forget on a bounded queue: a slow or absent monitor never
 blocks a worker.
 
-The monitor is transport-agnostic: every backend starts it with
-:meth:`HeartbeatMonitor.start` on a queue — a ``multiprocessing`` queue
-the pool workers put beats on, or a thread queue the socket hub's
-reader threads put decoded heartbeat *frames* on.  Either way one
-thread owns the monitor's state: same events, same gauges, no second
-implementation (see docs/distributed.md).
+The pool starts the monitor with :meth:`HeartbeatMonitor.start` on
+the ``multiprocessing`` queue its workers put beats on; one thread owns
+the monitor's state.
 """
 
 from __future__ import annotations
@@ -64,14 +61,6 @@ def note_worker_progress(runs: int = 0, checkpoints: int = 0) -> None:
     _HB_STATE["last_progress"] = time.monotonic()
 
 
-def make_beat() -> dict:
-    """One liveness record of this worker's current progress state."""
-    return {"pid": os.getpid(), "runs": _HB_STATE["runs"],
-            "checkpoints": _HB_STATE["checkpoints"],
-            "last_progress": _HB_STATE["last_progress"],
-            "mono": time.monotonic()}
-
-
 def _beat_loop(beat_queue, interval_s: float) -> None:
     """Push one liveness record per interval; never block, never raise.
 
@@ -82,7 +71,11 @@ def _beat_loop(beat_queue, interval_s: float) -> None:
     """
     while True:
         try:
-            beat_queue.put_nowait(make_beat())
+            beat_queue.put_nowait({
+                "pid": os.getpid(), "runs": _HB_STATE["runs"],
+                "checkpoints": _HB_STATE["checkpoints"],
+                "last_progress": _HB_STATE["last_progress"],
+                "mono": time.monotonic()})
         except Exception:
             # Full queue (monitor behind) or torn-down parent: shed the
             # beat — liveness reporting must never stall the worker.
@@ -204,9 +197,9 @@ class HeartbeatMonitor:
         self._thread.join(timeout=5.0)
         self._thread = None
         try:
-            # Reader-side teardown of a multiprocessing queue; workers
-            # shed beats once it is gone.  A thread queue has none.
+            # Reader-side teardown of the multiprocessing queue; workers
+            # shed beats once it is gone.
             self.queue.close()
             self.queue.cancel_join_thread()
-        except (AttributeError, OSError):
+        except OSError:
             pass

@@ -105,9 +105,8 @@ class CheckConfig:
     serial path, ``"auto"`` uses one worker per CPU, and any larger
     integer sets the pool size explicitly.  The verdict is bit-identical
     to the serial path; only wall-clock time changes.  ``executor``
-    names the backend explicitly (``serial`` / ``process-pool`` /
-    ``socket``); the default ``"auto"`` picks from the resolved worker
-    topology (see
+    names the backend explicitly (``serial`` / ``process-pool``); the
+    default ``"auto"`` picks from the resolved worker topology (see
     :func:`~repro.core.engine.executors.resolve_executor`).
 
     The instance is immutable all the way down: ``__post_init__``

@@ -54,7 +54,7 @@ def execute_session(program, config, telemetry=None):
     try:
         if backend == "serial":
             return serial_session(plan, tele)
-        return pool_session(plan, tele, backend)
+        return pool_session(plan, tele)
     finally:
         if tele:
             tele.end_span(span)
@@ -152,7 +152,7 @@ class SessionFeedback(Feedback):
                 "failed": len(self.judge.failed)}
 
 
-def pool_session(plan: SessionPlan, tele, backend: str = "process-pool"):
+def pool_session(plan: SessionPlan, tele):
     """Execute the session across a process pool.
 
     Phase 1 runs serially in the parent until one run completes and the
@@ -160,13 +160,12 @@ def pool_session(plan: SessionPlan, tele, backend: str = "process-pool"):
     one at a time, as serial would).  Phase 2 fans the remaining run
     indexes across the pool; results merge by run index, so the
     records/failures — and everything judged from them — are identical
-    to the serial session's.  *backend* picks the fan-out:
-    ``process-pool`` or ``socket`` (the ``repro worker`` fleet).
+    to the serial session's.
     """
     require_picklable(program=plan.program, config=plan.config)
     # Load the transport's module before the first run, so its import
     # is set-up time, not run time.
-    transport_cls = EXECUTORS[backend]
+    transport_cls = EXECUTORS["process-pool"]
     config = plan.config
     control = plan.make_control()
     runner = plan.make_runner(control, tele)
@@ -178,38 +177,19 @@ def pool_session(plan: SessionPlan, tele, backend: str = "process-pool"):
     index = run_inline(plan, judge, runner, budget, tele,
                        until=lambda: control.malloc_log.recorded)
 
-    # Phase 2 — replayed runs, fanned out across the pool or the
-    # socket worker fleet.
+    # Phase 2 — replayed runs, fanned out across the pool.
     remaining = [] if judge.budget_exhausted else range(index, config.runs)
     if remaining:
         telemetry_on = tele is not None
         deadline = budget.session_deadline
         transport = transport_cls(plan.n_workers, deadline=deadline,
                                   telemetry=tele)
-        if backend == "socket":
-            # Socket tasks are wire descriptors: the program travels by
-            # registry name, data payloads as blobs (repro.core.engine
-            # .wire); the hub stamps each run's remaining deadline at
-            # dispatch time.
-            from repro.core.engine import wire
-
-            spec = wire.program_spec(plan.program)
-            config_blob = wire.pack_blob(config)
-            malloc_blob = wire.pack_blob(control.malloc_log)
-            libcall_blob = wire.pack_blob(control.libcall_log)
-            tasks = {
-                i: {"kind": "session_run", "spec": spec, "index": i,
-                    "config": config_blob, "malloc": malloc_blob,
-                    "libcall": libcall_blob, "telemetry": telemetry_on}
-                for i in remaining
-            }
-        else:
-            tasks = {
-                i: (session_run_worker,
-                    (plan.program, config, i, deadline,
-                     control.malloc_log, control.libcall_log, telemetry_on))
-                for i in remaining
-            }
+        tasks = {
+            i: (session_run_worker,
+                (plan.program, config, i, deadline,
+                 control.malloc_log, control.libcall_log, telemetry_on))
+            for i in remaining
+        }
         feedback = SessionFeedback(plan, judge, tele)
         coordinate(transport, feedback, tasks, tele,
                    program_name=plan.program.name)
@@ -297,38 +277,25 @@ class CampaignFeedback(Feedback):
 
 
 def fan_out_campaign(program_factory, points, config, feedback,
-                     n_workers: int, total=None,
-                     backend: str = "process-pool") -> None:
+                     n_workers: int, total=None) -> None:
     """Fan campaign inputs across worker processes.
 
     *points* is ``[(position, InputPoint), ...]`` — the inputs still to
     run, keyed by their position in the campaign's input list so the
     merged outcomes keep input order.  Every outcome lands in
-    *feedback* (a :class:`CampaignFeedback`).  *backend* picks the
-    fan-out flavor: the process pool (default) or the socket worker
-    fleet.
+    *feedback* (a :class:`CampaignFeedback`).
     """
-    transport_cls = EXECUTORS[backend]
+    transport_cls = EXECUTORS["process-pool"]
     tele = feedback.tele
     # Campaign parallelism is across inputs, never nested: each worker
     # runs its session serially, so an explicit pool executor in the
     # config must not force a pool *inside* a pool worker.
     worker_config = replace(config, workers=1, executor="auto")
     telemetry_on = tele is not None
-    if backend == "socket":
-        from repro.core.engine import wire
-
-        factory_spec = wire.factory_spec(program_factory)
-        config_blob = wire.pack_blob(worker_config)
-        tasks = {pos: {"kind": "campaign_input", "factory": factory_spec,
-                       "index": pos, "point": wire.pack_blob(point),
-                       "config": config_blob, "telemetry": telemetry_on}
-                 for pos, point in points}
-    else:
-        require_picklable(program_factory=program_factory, config=config)
-        tasks = {pos: (campaign_input_worker,
-                       (program_factory, point, worker_config, telemetry_on))
-                 for pos, point in points}
+    require_picklable(program_factory=program_factory, config=config)
+    tasks = {pos: (campaign_input_worker,
+                   (program_factory, point, worker_config, telemetry_on))
+             for pos, point in points}
     transport = transport_cls(n_workers, telemetry=tele)
     if tele:
         for pos, point in points:
@@ -387,14 +354,12 @@ def execute_campaign(program_factory, inputs, config, telemetry=None,
 
         feedback = CampaignFeedback(dict(pending), journal, tele)
         if n_workers > 1 and len(pending) > 1:
-            # The fan-out backend follows the executor knob, except
-            # that ``serial`` has no meaning *across* inputs and maps
-            # back to the pool.
-            backend = resolve_executor(config.executor, n_workers)
-            if backend == "serial":
-                backend = "process-pool"
+            # Inputs always fan out across the pool (``serial`` has no
+            # meaning *across* inputs); the executor name is still
+            # validated.
+            resolve_executor(config.executor, n_workers)
             fan_out_campaign(program_factory, pending, config, feedback,
-                             n_workers, total=len(inputs), backend=backend)
+                             n_workers, total=len(inputs))
         else:
             # Serial loop.  With a single pending input the campaign
             # stays serial and lets the session itself parallelize.

@@ -2,13 +2,11 @@
 
 Every run, on every backend, goes through :func:`attempt_run`, which
 applies the retry policy where the run executes: the serial loop calls
-it inline, and the fan-out backends (the process pool, the socket
-worker fleet) call it from two task functions —
+it inline, and the process pool calls it from two task functions —
 :func:`session_run_worker` (one scheduled run of a session) and
 :func:`campaign_input_worker` (one full serial session for a campaign
 input).  Both rebuild the whole stack from picklable inputs and return
-a plain dict the parent folds — which is also exactly what travels
-over the socket transport's result frames (docs/distributed.md).
+a plain dict the parent folds.
 
 The worker-telemetry merge protocol lives here too: the parent
 re-emits each worker's buffered events tagged with the worker's pid

@@ -7,8 +7,7 @@ deadline expiry abandoning in-flight work, one pool rebuild then
 per-task isolation salvage.  Each future's done-callback puts it on a
 thread-safe completion queue, and
 :meth:`~ProcessPoolTransport.next_result` blocks on that queue until
-the deadline.  The ``socket`` backend lives in
-:mod:`repro.core.engine.sockets` and does not import this module.
+the deadline.
 
 The ``serial`` backend is no transport but a plain loop
 (:mod:`repro.core.engine.session`), and never imports this module.

@@ -197,13 +197,5 @@ del _cls
 
 
 def make_fault(name: str, n_workers: int = 2, **kwargs) -> FaultProgram:
-    """Instantiate a fault-injection workload by registry name.
-
-    The instance carries its registry spec so socket workers can
-    rebuild it by name (see :mod:`repro.core.engine.wire`).
-    """
-    from repro.core.engine.wire import attach_spec
-
-    program = FAULT_REGISTRY.get(name)(n_workers=n_workers, **kwargs)
-    return attach_spec(program, "fault", name,
-                       {"n_workers": n_workers, **kwargs})
+    """Instantiate a fault-injection workload by registry name."""
+    return FAULT_REGISTRY.get(name)(n_workers=n_workers, **kwargs)

@@ -7,8 +7,11 @@ Pin's store instrumentation (software schemes) and the L1-controller MHM
 ``(core, tid, address, old_value, new_value, is_fp)``.  The hash
 schemes receive the hashed stores in *windows*: the machine appends
 each one to a list and hands the list over at the next flush point (a
-context switch, a free, a checkpoint, an MHM ISA operation, an
-observer attach/detach, or :data:`STORE_WINDOW_CAPACITY` stores).  In
+change of a core's resident thread — a thread switched onto a core, or
+a migration — a free, a checkpoint, an MHM ISA operation, an observer
+attach/detach, or :data:`STORE_WINDOW_CAPACITY` stores).  A scheduler
+switch between threads that stay resident on their cores closes no
+window, so one window may carry stores from several cores.  In
 the paper's terms, the MHM may fold a core's retired stores into its TH
 register in any order or cluster because ⊕ commutes (Section 3.2); a
 window is one such cluster.  Observers that are not hash schemes (the
@@ -168,10 +171,14 @@ class Machine:
         """Close the store window and hand it to the window observers.
 
         Called at every sync point that makes buffered state observable:
-        context-switch events, frees, checkpoints (via the schemes), MHM
-        ISA operations, observer attach/detach, and a window reaching
-        :data:`STORE_WINDOW_CAPACITY` stores.  So no window spans a
-        context switch or an ISA operation.
+        a change of a core's resident thread (:meth:`schedule_thread`
+        switching a thread onto a core, or migrating one), frees,
+        checkpoints (via the schemes), MHM ISA operations, observer
+        attach/detach, and a window reaching
+        :data:`STORE_WINDOW_CAPACITY` stores.  So no window spans a TH
+        save/restore or an ISA operation.  A scheduler switch between
+        threads that stay resident on their cores does not close the
+        window; each store carries its own core and thread.
         """
         if not self._store_window:
             return

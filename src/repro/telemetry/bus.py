@@ -5,8 +5,7 @@ only readable after the session.  The :class:`EventBus` makes the same
 event stream *live*: it is itself a :class:`~repro.telemetry.sinks.Sink`
 (so a :class:`~repro.telemetry.tracer.Telemetry` session plugs straight
 into it), and it fans every event out to any number of subscribers —
-the JSONL file sink, the live console, tests, or a future distributed
-coordinator.
+the JSONL file sink, the live console, the metrics server, or tests.
 
 Backpressure contract
 ---------------------

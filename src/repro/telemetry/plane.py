@@ -1,8 +1,8 @@
 """Assembly of the live observability plane.
 
-One :class:`ObservabilityPlane` bundles the pieces a live command (or a
-future ``repro serve`` daemon) wants wired together: a
-:class:`~repro.telemetry.bus.EventBus` as the telemetry sink, an
+One :class:`ObservabilityPlane` bundles the pieces a live command wants
+wired together: a :class:`~repro.telemetry.bus.EventBus` as the
+telemetry sink, an
 optional JSONL recording subscriber, an optional live
 :class:`~repro.telemetry.console.SessionConsole`, and an optional
 :class:`~repro.telemetry.http.MetricsServer`.  The CLI's

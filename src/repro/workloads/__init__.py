@@ -9,6 +9,7 @@ Table 1 order; :func:`make` builds one by name with default parameters.
 from __future__ import annotations
 
 from repro.core.registry import Registry
+from repro.errors import CheckerError
 from repro.workloads.barnes import Barnes
 from repro.workloads.blackscholes import Blackscholes
 from repro.workloads.canneal import Canneal
@@ -58,23 +59,56 @@ del _name, _cls
 
 
 def make(name: str, n_workers: int = 8, **kwargs) -> Workload:
-    """Instantiate a Table 1 application analog by name.
+    """Instantiate a Table 1 application analog by name."""
+    return REGISTRY.get(name)(n_workers=n_workers, **kwargs)
 
-    The instance is stamped with its registry spec so it can travel to
-    socket workers as a name (see :mod:`repro.core.engine.wire`).
+
+def build_named_program(app: str, **params):
+    """The CLI's name dispatcher: fault probe, seeded bug, or workload.
+
+    A parameter the target does not take is a
+    :class:`~repro.errors.CheckerError` naming the accepted ones, never
+    a raw ``TypeError``.
     """
-    from repro.core.engine.wire import attach_spec
+    from repro.sim.faults import FAULT_REGISTRY, make_fault
+    from repro.workloads.seeded_bugs import SEEDED
 
-    program = REGISTRY.get(name)(n_workers=n_workers, **kwargs)
-    return attach_spec(program, "workload", name,
-                       {"n_workers": n_workers, **kwargs})
+    if app in FAULT_REGISTRY:
+        _check_params(app, FAULT_REGISTRY.get(app), params)
+        return make_fault(app, **params)
+    if app in SEEDED:
+        factory = SEEDED[app]
+        _check_params(app, factory, params)
+        return factory(**params)
+    if app in REGISTRY:
+        _check_params(app, REGISTRY.get(app), params)
+    return make(app, **params)
+
+
+def _check_params(app: str, target, params: dict) -> None:
+    """Reject keys *target*'s signature does not accept (a target
+    taking ``**kwargs`` accepts any)."""
+    import inspect
+
+    accepted = []
+    for name, param in inspect.signature(target).parameters.items():
+        if param.kind is param.VAR_KEYWORD:
+            return
+        if param.kind is not param.POSITIONAL_ONLY:
+            accepted.append(name)
+    unknown = sorted(set(params) - set(accepted))
+    if unknown:
+        raise CheckerError(
+            f"{app!r} takes no parameter "
+            f"{', '.join(repr(key) for key in unknown)}; "
+            f"accepted: {', '.join(accepted)}")
 
 
 def all_names() -> tuple:
     return tuple(REGISTRY)
 
 
-__all__ = ["REGISTRY", "make", "all_names", "Workload", "Barnes",
+__all__ = ["REGISTRY", "make", "build_named_program", "all_names", "Workload", "Barnes",
            "Blackscholes", "Canneal", "Cholesky", "Fft", "Fluidanimate",
            "Lu", "Ocean", "Pbzip2", "Radiosity", "Radix", "Sphinx3",
            "Streamcluster", "Swaptions", "Volrend", "WaterNS", "WaterSP",

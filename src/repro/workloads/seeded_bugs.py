@@ -79,7 +79,4 @@ def seeded_program(application: str, n_workers: int = 8, **kwargs):
         raise ValueError(
             f"no seeded bug for {application!r}; Table 2 covers "
             f"{sorted(app for app, _ in SEEDED_BUGS)}")
-    from repro.core.engine.wire import attach_spec
-
-    return attach_spec(factory(n_workers=n_workers, **kwargs),
-                       "seeded", name, {"n_workers": n_workers, **kwargs})
+    return factory(n_workers=n_workers, **kwargs)

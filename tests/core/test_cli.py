@@ -2,6 +2,8 @@
 
 import io
 
+import pytest
+
 from repro.cli import main
 
 
@@ -363,3 +365,34 @@ def test_campaign_accepts_observability_flags(tmp_path, capsys):
     assert "repro live" in err
     from repro.telemetry import load_events
     assert load_events(jsonl)[0]["t"] == "meta"
+
+
+def _argparse_exit(capsys, *argv):
+    """Parse *argv* with the CLI's parser; return (exit code, stderr)."""
+    from repro.cli import _build_parser
+
+    with pytest.raises(SystemExit) as exc:
+        _build_parser().parse_args(list(argv))
+    return exc.value.code, capsys.readouterr().err
+
+
+def test_removed_socket_executor_is_an_invalid_choice(capsys):
+    code, err = _argparse_exit(capsys, "check", "fft", "--executor", "socket")
+    assert code == 2
+    assert "invalid choice: 'socket'" in err
+    # main() maps argparse's usage exit onto the CLI's usage code.
+    assert run_cli("check", "fft", "--executor", "socket")[0] == 3
+
+
+@pytest.mark.parametrize("command", ["serve", "worker", "submit"])
+def test_removed_fleet_subcommands_are_rejected(capsys, command):
+    code, err = _argparse_exit(capsys, command, "--help")
+    assert code == 2
+    assert f"invalid choice: '{command}'" in err
+
+
+def test_list_registries_names_exactly_two_executors():
+    code, text = run_cli("list", "--registries")
+    assert code == 0
+    line, = [row for row in text.splitlines() if row.startswith("executors")]
+    assert line.split(None, 1)[1] == "serial, process-pool"

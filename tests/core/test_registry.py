@@ -105,19 +105,17 @@ def test_self_check_resolves_every_name():
     assert ("memory-models", "pso") in resolved
     assert ("executors", "serial") in resolved
     assert ("executors", "process-pool") in resolved
-    assert ("executors", "socket") in resolved
     assert len(resolved) >= 35
 
 
 def test_executors_registry_covers_every_transport():
     catalog = all_registries()
-    assert list(catalog["executors"]) == ["serial", "process-pool", "socket"]
+    assert list(catalog["executors"]) == ["serial", "process-pool"]
 
 
 def test_resolve_executor_explicit_name_wins():
     assert resolve_executor("serial", 8) == "serial"
     assert resolve_executor("process-pool", 1) == "process-pool"
-    assert resolve_executor("socket", 2) == "socket"
     with pytest.raises(CheckerError):
         resolve_executor("no-such-backend", 2)
 
@@ -150,9 +148,9 @@ def test_lookup_errors_suggest_close_names():
     from repro.errors import CheckerError
 
     with pytest.raises(CheckerError,
-                       match="unknown executor backend 'sockte' "
-                             r"\(did you mean 'socket'\?\)"):
-        EXECUTORS.get("sockte")
+                       match="unknown executor backend 'proces-pool' "
+                             r"\(did you mean 'process-pool'\?\)"):
+        EXECUTORS.get("proces-pool")
     # No near-miss: the hint is omitted, the inventory still printed.
     with pytest.raises(SchedulerError, match="available"):
         make_scheduler("fifo")

@@ -100,83 +100,3 @@ def test_signal_mid_pool_session_does_not_wait_for_runs_in_flight(executor):
     assert "Traceback (most recent call last)" not in stderr
     assert "Traceback (most recent call last)" not in stdout
     assert exit_s < 5.0, stderr
-
-
-# -- repro serve: the daemon honours the same contract -------------------------
-
-
-def _start_serve(extra_argv=()):
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve", "--port", "0", *extra_argv],
-        env=_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-        text=True)
-    # The daemon announces its bound port on stderr before serving.
-    deadline = time.monotonic() + 30
-    line = ""
-    while time.monotonic() < deadline:
-        line = proc.stderr.readline()
-        if "serve: listening on" in line or not line:
-            break
-    assert "serve: listening on" in line, line
-    port = int(line.split("listening on ")[1].split()[0].rsplit(":", 1)[1])
-    return proc, port
-
-
-@pytest.mark.parametrize("sig,name", [(signal.SIGTERM, "SIGTERM"),
-                                      (signal.SIGINT, "SIGINT")])
-def test_signal_while_serve_is_idle_drains_cleanly(sig, name):
-    proc, _port = _start_serve()
-    time.sleep(0.3)
-    proc.send_signal(sig)
-    stdout, stderr = proc.communicate(timeout=60)
-    assert proc.returncode == 0, (stdout, stderr)
-    assert f"interrupted by {name}" in stderr
-    assert "shut down cleanly" in stderr
-    assert "Traceback (most recent call last)" not in stderr
-
-
-def test_signal_mid_submission_exits_with_infra_code():
-    # Submit a session to a daemon with no workers connected: the
-    # session blocks waiting for the fleet, so the signal is guaranteed
-    # to land mid-submission — the daemon must unwind it like any
-    # interrupted check (exit 2), not hang or traceback.
-    proc, port = _start_serve()
-    client = subprocess.Popen(
-        [sys.executable, "-m", "repro", "submit", "fft",
-         "--connect", f"127.0.0.1:{port}", "--runs", "4"],
-        env=_env(), stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-    try:
-        time.sleep(1.5)  # long enough for the submission to be accepted
-        proc.send_signal(signal.SIGTERM)
-        stdout, stderr = proc.communicate(timeout=60)
-        assert proc.returncode == 2, (stdout, stderr)
-        assert "interrupted by SIGTERM" in stderr
-        assert "Traceback (most recent call last)" not in stderr
-    finally:
-        client.kill()
-        client.wait(timeout=10)
-
-
-def test_sigterm_with_a_connected_worker_shuts_down_cleanly():
-    # The hub's connection threads must be gone by the time the daemon
-    # reports a clean shutdown, and the worker must see a plain EOF.
-    proc, port = _start_serve()
-    worker = subprocess.Popen(
-        [sys.executable, "-m", "repro", "worker",
-         "--connect", f"127.0.0.1:{port}", "--retry-for", "30"],
-        env=_env(), stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
-        text=True)
-    try:
-        assert "worker: connected" in worker.stderr.readline()
-        proc.send_signal(signal.SIGTERM)
-        stdout, stderr = proc.communicate(timeout=60)
-        assert proc.returncode == 0, (stdout, stderr)
-        assert "shut down cleanly" in stderr
-        assert "Task was destroyed" not in stderr
-        assert "Traceback" not in stderr
-        assert worker.wait(timeout=30) == 0, worker.stderr.read()
-    finally:
-        worker.kill()
-        worker.wait(timeout=10)
-        proc.kill()
-        proc.wait(timeout=10)

@@ -3,7 +3,7 @@
 Each case runs ``repro.cli.main`` in a fresh interpreter and reads back
 ``sorted(sys.modules)``.  A serial check whose store batches are all
 short must not load numpy (the numpy kernel sends them through the
-Python path), the pool/socket backends, the HTTP server or the paper
+Python path), the pool backend, the HTTP server or the paper
 renderers.  A check whose batches do reach the vectorization threshold
 must load numpy, which proves the switch engages.
 
@@ -12,9 +12,7 @@ machinery either: ``concurrent.futures``, ``multiprocessing``,
 ``socket``, ``ssl`` and ``selectors`` stay out of a serial check and of
 a single-input serial campaign.  A process-pool session needs the
 process machinery, but its fan-out loop is blocking code on threads
-and queues, so it loads neither ``asyncio`` nor ``ssl``.  The socket
-side — ``repro serve``/``worker``/``submit`` and a running hub — is
-plain threads too and loads none of the pool machinery.
+and queues, so it loads neither ``asyncio`` nor ``ssl``.
 """
 
 import json
@@ -39,8 +37,7 @@ print(json.dumps({"exit": code, "modules": sorted(sys.modules)}))
 
 #: Modules a serial, small-batch check has no use for.
 NOT_LOADED_BY_SERIAL_CHECK = (
-    "numpy", "http.server", "email", "repro.core.engine.sockets",
-    "repro.core.engine.transports", "repro.analysis", "asyncio",
+    "numpy", "http.server", "email", "repro.core.engine.transports", "repro.analysis", "asyncio",
     "concurrent.futures", "multiprocessing", "socket", "ssl", "selectors",
 )
 
@@ -59,7 +56,7 @@ def _modules_after(*argv) -> set:
 
 
 #: Modules a process-pool check has no use for.
-NOT_LOADED_BY_POOL_CHECK = ("asyncio", "ssl", "repro.core.engine.sockets")
+NOT_LOADED_BY_POOL_CHECK = ("asyncio", "ssl")
 
 
 def _unused(modules, unused=NOT_LOADED_BY_SERIAL_CHECK) -> list:
@@ -90,27 +87,3 @@ def test_pool_check_loads_no_event_loop():
                              "--executor", "process-pool")
     assert "repro.core.engine.transports" in modules
     assert _unused(modules, NOT_LOADED_BY_POOL_CHECK) == []
-
-
-#: Modules the socket side (service module plus a live hub) has no use for.
-NOT_LOADED_BY_SOCKET_SIDE = ("asyncio", "ssl", "concurrent.futures",
-                             "multiprocessing",
-                             "repro.core.engine.transports")
-
-HUB_PROBE = """\
-import json, sys
-import repro.core.engine.service
-from repro.core.engine.sockets import WorkerHub
-WorkerHub(port=0).start().stop()
-print(json.dumps(sorted(sys.modules)))
-"""
-
-
-def test_socket_side_loads_no_event_loop_or_pool():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC_ROOT + os.pathsep + env.get("PYTHONPATH", "")
-    done = subprocess.run([sys.executable, "-c", HUB_PROBE], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    modules = json.loads(done.stdout.strip().splitlines()[-1])
-    assert _unused(modules, NOT_LOADED_BY_SOCKET_SIDE) == []
